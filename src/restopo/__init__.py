@@ -13,7 +13,7 @@ from .oracles import (DeltaThreshold, DiagState, delta_threshold, diag_integrate
                       fd_gradient, lb_witness_init, lower_bound_curve,
                       pack_state, ub_witness_init, upper_bound_curve)
 from .tensor import (frobenius_norm, make_rng, matmul, random_orthogonal_data,
-                     smallest_singular_value, spectral_norm)
+                     spectral_norm)
 
 __all__ = [
     "__version__",
@@ -26,5 +26,5 @@ __all__ = [
     "fd_gradient", "lb_witness_init", "lower_bound_curve", "pack_state",
     "ub_witness_init", "upper_bound_curve",
     "frobenius_norm", "make_rng", "matmul", "random_orthogonal_data",
-    "smallest_singular_value", "spectral_norm",
+    "spectral_norm",
 ]

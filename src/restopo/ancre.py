@@ -1,15 +1,18 @@
 """Learnable shortcut coefficients with softmax normalization.
 
-Every candidate shortcut i:j (0 <= i < j <= K, source 0 is the network
-input) carries a raw coefficient c_ij.  A temperature softmax turns the
-raw coefficients into convex weights p_ij, either per destination layer
-("ingoing": sum over sources i < j equals 1) or per source layer
-("outgoing": sum over destinations j > i equals 1).
+A layout of depth K is a (K+1) x (K+1) coefficient matrix whose entry
+[i, j] weights source h_i (source 0 is the network input) in the input of
+layer j.  Only the candidate entries 0 <= i < j <= K can be nonzero.  Here
+every candidate carries a raw coefficient c[i, j], and a temperature
+softmax over a masked matrix turns them into convex weights p: "ingoing"
+normalizes each destination column (sum over sources i < j equals 1),
+"outgoing" each source row (sum over destinations j > i equals 1).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -17,6 +20,7 @@ __all__ = [
     "Pair",
     "AncreParams",
     "candidate_pairs",
+    "candidate_mask",
     "normalization_groups",
     "normalize",
     "coeff_gradients",
@@ -38,16 +42,52 @@ def candidate_pairs(K: int) -> list[Pair]:
     return [(i, j) for j in range(1, K + 1) for i in range(j)]
 
 
-@dataclass(frozen=True)
+@lru_cache(maxsize=None)
+def candidate_mask(K: int) -> np.ndarray:
+    """Read-only (K+1) x (K+1) boolean matrix, True exactly at i < j."""
+    mask = np.triu(np.ones((K + 1, K + 1), dtype=bool), 1)
+    mask.flags.writeable = False
+    return mask
+
+
+def _coeff_matrix(K: int, c) -> np.ndarray:
+    """Raw coefficients as a fresh (K+1) x (K+1) matrix, from a matrix or a
+    dict that covers every candidate pair."""
+    if isinstance(c, dict):
+        expected = set(candidate_pairs(K))
+        got = set(c)
+        if got != expected:
+            missing = sorted(expected - got)
+            extra = sorted(got - expected)
+            raise ValueError(
+                f"coefficient set must cover all {len(expected)} pairs i<j<=K; "
+                f"missing={missing} extra={extra}"
+            )
+        m = np.zeros((K + 1, K + 1))
+        for pair, val in c.items():
+            m[pair] = val
+        return m
+    m = np.array(c, dtype=np.float64)
+    if m.shape != (K + 1, K + 1):
+        raise ValueError(f"coefficient matrix must have shape {(K + 1, K + 1)}, "
+                         f"got {m.shape}")
+    if np.any(m[~candidate_mask(K)] != 0.0):
+        raise ValueError("coefficients outside the candidate pairs i < j must be zero")
+    return m
+
+
+@dataclass(frozen=True, eq=False)
 class AncreParams:
     """Raw coefficients plus the normalization recipe.
 
-    c maps every candidate pair to a raw real coefficient; the full
-    candidate set of K(K+1)/2 pairs must be present.
+    c is the (K+1) x (K+1) raw-coefficient matrix, zero outside the
+    K(K+1)/2 candidate entries i < j; a dict {(i, j): value} covering every
+    candidate is accepted too.  The stored matrix is a read-only copy,
+    validated here once.
     """
 
     K: int
-    c: dict[Pair, float]
+    c: np.ndarray
     mode: str = "ingoing"
     temperature: float = 0.1
 
@@ -58,27 +98,20 @@ class AncreParams:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if not self.temperature > 0:
             raise ValueError(f"temperature must be positive, got {self.temperature}")
-        expected = set(candidate_pairs(self.K))
-        got = set(self.c)
-        if got != expected:
-            missing = sorted(expected - got)
-            extra = sorted(got - expected)
-            raise ValueError(
-                f"coefficient set must cover all {len(expected)} pairs i<j<=K; "
-                f"missing={missing} extra={extra}"
-            )
-        for pair, val in self.c.items():
-            if not np.isfinite(val):
-                raise ValueError(f"coefficient {pair} is not finite: {val}")
+        c = _coeff_matrix(self.K, self.c)
+        if not np.all(np.isfinite(c)):
+            bad = [tuple(int(x) for x in ij) for ij in np.argwhere(~np.isfinite(c))]
+            raise ValueError(f"coefficients at {bad} are not finite")
+        c.flags.writeable = False
+        object.__setattr__(self, "c", c)
 
     @classmethod
     def uniform(cls, K: int, mode: str = "ingoing", temperature: float = 0.1) -> "AncreParams":
         """All raw coefficients zero, i.e. uniform weights within each group."""
-        return cls(K=K, c={pair: 0.0 for pair in candidate_pairs(K)}, mode=mode,
-                   temperature=temperature)
+        return cls(K=K, c=np.zeros((K + 1, K + 1)), mode=mode, temperature=temperature)
 
-    def with_coeffs(self, c: dict[Pair, float]) -> "AncreParams":
-        return replace(self, c=dict(c))
+    def with_coeffs(self, c) -> "AncreParams":
+        return replace(self, c=c)
 
 
 def normalization_groups(params: AncreParams) -> list[list[Pair]]:
@@ -93,40 +126,36 @@ def normalization_groups(params: AncreParams) -> list[list[Pair]]:
     return [[(i, j) for j in range(i + 1, K + 1)] for i in range(K)]
 
 
-def normalize(params: AncreParams) -> dict[Pair, float]:
-    """Softmax weights p with max-subtraction for overflow safety.
+def _group_axis(params: AncreParams) -> int:
+    """Matrix axis summed over within one group: 0 (columns) for ingoing."""
+    return 0 if params.mode == "ingoing" else 1
 
-    Each normalization group of the result sums to 1 and every p lies in
-    (0, 1].
+
+def normalize(params: AncreParams, c: np.ndarray | None = None) -> np.ndarray:
+    """Softmax weights p of the raw matrix c (default params.c), with
+    max-subtraction for overflow safety.
+
+    p is zero outside the candidate entries; each normalization group sums
+    to 1 and every candidate p lies in (0, 1].
     """
-    p: dict[Pair, float] = {}
-    tau = params.temperature
-    for group in normalization_groups(params):
-        z = np.array([params.c[pair] for pair in group]) / tau
-        z -= z.max()
-        e = np.exp(z)
-        e /= e.sum()
-        for pair, val in zip(group, e):
-            p[pair] = float(val)
-    return p
+    c = params.c if c is None else c
+    mask = candidate_mask(params.K)
+    axis = _group_axis(params)
+    z = c / params.temperature
+    z -= np.max(z, axis=axis, keepdims=True, initial=-np.inf, where=mask)
+    p = np.exp(z, out=np.zeros_like(z), where=mask)
+    return np.divide(p, p.sum(axis=axis, keepdims=True), out=p, where=mask)
 
 
-def coeff_gradients(params: AncreParams, p: dict[Pair, float],
-                    p_grads: dict[Pair, float]) -> dict[Pair, float]:
-    """Chain dL/dp through the softmax Jacobian to get dL/dc.
+def coeff_gradients(params: AncreParams, p: np.ndarray, p_grads: np.ndarray) -> np.ndarray:
+    """Chain q = dL/dp through the softmax Jacobian to get dL/dc.
 
     Per group, the Jacobian is (diag(p) - p p^T)/tau, so
-    dL/dc_k = p_k (q_k - sum_i p_i q_i) / tau with q = dL/dp.
+    dL/dc_k = p_k (q_k - sum_i p_i q_i) / tau.  p_grads is a (K+1) x (K+1)
+    matrix like p; the result is zero outside the candidate entries.
     """
-    grads: dict[Pair, float] = {}
-    tau = params.temperature
-    for group in normalization_groups(params):
-        pv = np.array([p[pair] for pair in group])
-        qv = np.array([p_grads.get(pair, 0.0) for pair in group])
-        avg = float(pv @ qv)
-        for pair, pk, qk in zip(group, pv, qv):
-            grads[pair] = float(pk * (qk - avg) / tau)
-    return grads
+    avg = np.sum(p * p_grads, axis=_group_axis(params), keepdims=True)
+    return p * (p_grads - avg) / params.temperature
 
 
 def heatmap(params: AncreParams) -> np.ndarray:
@@ -148,9 +177,8 @@ def heatmap(params: AncreParams) -> np.ndarray:
     p = normalize(params)
     m = np.full((K + 1, K + 1), HEATMAP_SENTINEL)
     for j in range(1, K + 1):
-        row = np.array([p[(i, j)] for i in range(j)])
-        ratios = np.log10(row / row.max())
-        m[j, :j] = ratios
+        row = p[:j, j]
+        m[j, :j] = np.log10(row / row.max())
     return m
 
 

@@ -10,12 +10,13 @@ re-evaluates full gradients at stage points for step-size studies.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import tensor
-from .ancre import normalize
+from .ancre import candidate_mask, candidate_pairs, normalize
 from .network import TrainState, loss_and_gradients
 
 __all__ = [
@@ -112,11 +113,13 @@ class _Recorder:
         self.pairs = None
         self.coeffs = None
         if options.coeffs and state.ancre is not None:
-            self.pairs = sorted(state.ancre.c)
+            # sorted pairs are the row-major order of the candidate mask
+            self.mask = candidate_mask(state.ancre.K)
+            self.pairs = sorted(candidate_pairs(state.ancre.K))
             self.coeffs = []
         self.last_iter = -1
 
-    def snapshot(self, it: int, value: float, weights, p: dict | None):
+    def snapshot(self, it: int, value: float, weights, p: np.ndarray | None):
         if it == self.last_iter:
             return
         self.last_iter = it
@@ -131,8 +134,7 @@ class _Recorder:
         if self.diag is not None:
             self.diag.append([np.diag(w).copy() for w in weights])
         if self.coeffs is not None:
-            self.coeffs.append([p[pair] for pair in self.pairs] if p else
-                               [np.nan] * len(self.pairs))
+            self.coeffs.append(p[self.mask])
 
     def build(self, diverged: bool) -> Trajectory:
         return Trajectory(
@@ -149,10 +151,31 @@ class _Recorder:
         )
 
 
-def _finite(arrays, coeffs) -> bool:
-    if coeffs is not None and not all(np.isfinite(v) for v in coeffs.values()):
-        return False
-    return all(np.all(np.isfinite(a)) for a in arrays)
+def _finite(wgrads: np.ndarray, cgrads: np.ndarray | None) -> bool:
+    return bool(np.isfinite(wgrads).all()) and (
+        cgrads is None or bool(np.isfinite(cgrads).all()))
+
+
+def _descend(weights: np.ndarray, coeffs: np.ndarray | None, wgrads: np.ndarray,
+             cgrads: np.ndarray | None, step: float, step_c: float) -> None:
+    """The GD and Euler update, in place: W <- W - step * grad and, in
+    mixing mode, c <- c - step_c * grad_c."""
+    weights -= step * wgrads
+    if coeffs is not None:
+        coeffs -= step_c * cgrads
+
+
+def _parameters(state: TrainState) -> tuple[np.ndarray, np.ndarray | None]:
+    """Fresh buffers: the weights stacked as (K, d, d) and the raw
+    coefficient matrix (None for a fixed layout)."""
+    return (np.array(state.weights, dtype=np.float64),
+            None if state.ancre is None else state.ancre.c.copy())
+
+
+def _with_parameters(state: TrainState, weights: np.ndarray,
+                     coeffs: np.ndarray | None) -> TrainState:
+    return replace(state, weights=list(weights),
+                   ancre=None if coeffs is None else state.ancre.with_coeffs(coeffs))
 
 
 def gd_step(state: TrainState, lr: float, lr_c: float | None = None) -> TrainState:
@@ -161,30 +184,21 @@ def gd_step(state: TrainState, lr: float, lr_c: float | None = None) -> TrainSta
     gradient freezes the state: the input is returned unchanged."""
     if not lr > 0:
         raise ValueError(f"lr must be positive, got {lr}")
-    lr_c = lr if lr_c is None else lr_c
     _, wgrads, cgrads = loss_and_gradients(state)
     if not _finite(wgrads, cgrads):
         return state
-    weights = [w - lr * g for w, g in zip(state.weights, wgrads)]
-    ancre = None
-    if state.ancre is not None:
-        ancre = state.ancre.with_coeffs(
-            {pair: state.ancre.c[pair] - lr_c * cgrads[pair] for pair in state.ancre.c})
-    return replace(state, weights=weights, ancre=ancre)
+    weights, coeffs = _parameters(state)
+    _descend(weights, coeffs, wgrads, cgrads, lr, lr if lr_c is None else lr_c)
+    return _with_parameters(state, weights, coeffs)
 
 
 def _run(state: TrainState, n_steps: int, time_scale: float, options: RecordOptions,
          update) -> tuple[Trajectory, TrainState]:
-    """Shared driver: snapshot/stop logic around a per-step parameter update."""
-    weights = [w.copy() for w in state.weights]
-    coeffs = dict(state.ancre.c) if state.ancre is not None else None
+    """Shared driver: snapshot/stop logic around a per-step in-place update
+    update(weights, coeffs, wgrads, cgrads) of the parameter buffers."""
+    weights, coeffs = _parameters(state)
     rec = _Recorder(state, options, time_scale)
     diverged = False
-
-    def current_p():
-        if state.ancre is None:
-            return None
-        return normalize(state.ancre.with_coeffs(coeffs))
 
     for it in range(n_steps + 1):
         value, wgrads, cgrads = loss_and_gradients(state, weights, coeffs)
@@ -192,7 +206,8 @@ def _run(state: TrainState, n_steps: int, time_scale: float, options: RecordOpti
         blown = not np.isfinite(value) or value > DIVERGENCE_THRESHOLD
         floored = options.stop_below is not None and value <= options.stop_below
         if record_due or blown or floored:
-            rec.snapshot(it, value, weights, current_p() if rec.coeffs is not None else None)
+            p = normalize(state.ancre, coeffs) if rec.coeffs is not None else None
+            rec.snapshot(it, value, weights, p)
         if blown:
             diverged = True
             break
@@ -203,9 +218,7 @@ def _run(state: TrainState, n_steps: int, time_scale: float, options: RecordOpti
             break
         update(weights, coeffs, wgrads, cgrads)
 
-    final = replace(state, weights=weights,
-                    ancre=state.ancre.with_coeffs(coeffs) if state.ancre is not None else None)
-    return rec.build(diverged), final
+    return rec.build(diverged), _with_parameters(state, weights, coeffs)
 
 
 def run_gd(state: TrainState, lr: float, iters: int, lr_c: float | None = None,
@@ -217,14 +230,7 @@ def run_gd(state: TrainState, lr: float, iters: int, lr_c: float | None = None,
         raise ValueError("iters must be >= 0")
     lr_c = lr if lr_c is None else lr_c
     options = options or RecordOptions()
-
-    def update(weights, coeffs, wgrads, cgrads):
-        for k in range(len(weights)):
-            weights[k] -= lr * wgrads[k]
-        if coeffs is not None:
-            for pair in coeffs:
-                coeffs[pair] -= lr_c * cgrads[pair]
-
+    update = functools.partial(_descend, step=lr, step_c=lr_c)
     return _run(state, iters, lr, options, update)
 
 
@@ -244,33 +250,20 @@ def integrate_gf(state: TrainState, dt: float, t_end: float, method: str = "eule
     n_steps = int(round(t_end / dt))
 
     if method == "euler":
-        def update(weights, coeffs, wgrads, cgrads):
-            for k in range(len(weights)):
-                weights[k] -= dt * wgrads[k]
-            if coeffs is not None:
-                for pair in coeffs:
-                    coeffs[pair] -= dt * cgrads[pair]
+        update = functools.partial(_descend, step=dt, step_c=dt)
     else:
-        def update(weights, coeffs, wgrads, cgrads):
-            k1w, k1c = wgrads, cgrads
-            def shifted(scale, gw, gc):
-                ws = [w - scale * g for w, g in zip(weights, gw)]
-                cs = None
-                if coeffs is not None:
-                    cs = {pair: coeffs[pair] - scale * gc[pair] for pair in coeffs}
-                return ws, cs
-            w2, c2 = shifted(0.5 * dt, k1w, k1c)
-            _, k2w, k2c = loss_and_gradients(state, w2, c2)
-            w3, c3 = shifted(0.5 * dt, k2w, k2c)
-            _, k3w, k3c = loss_and_gradients(state, w3, c3)
-            w4, c4 = shifted(dt, k3w, k3c)
-            _, k4w, k4c = loss_and_gradients(state, w4, c4)
-            for k in range(len(weights)):
-                weights[k] -= (dt / 6.0) * (k1w[k] + 2 * k2w[k] + 2 * k3w[k] + k4w[k])
+        def stage(weights, coeffs, scale, gw, gc):
+            shifted_c = None if coeffs is None else coeffs - scale * gc
+            _, sw, sc = loss_and_gradients(state, weights - scale * gw, shifted_c)
+            return sw, sc
+
+        def update(weights, coeffs, k1w, k1c):
+            k2w, k2c = stage(weights, coeffs, 0.5 * dt, k1w, k1c)
+            k3w, k3c = stage(weights, coeffs, 0.5 * dt, k2w, k2c)
+            k4w, k4c = stage(weights, coeffs, dt, k3w, k3c)
+            weights -= (dt / 6.0) * (k1w + 2 * k2w + 2 * k3w + k4w)
             if coeffs is not None:
-                for pair in coeffs:
-                    coeffs[pair] -= (dt / 6.0) * (k1c[pair] + 2 * k2c[pair]
-                                                  + 2 * k3c[pair] + k4c[pair])
+                coeffs -= (dt / 6.0) * (k1c + 2 * k2c + 2 * k3c + k4c)
 
     return _run(state, n_steps, dt, options, update)
 

@@ -32,7 +32,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import __version__
-from .ancre import AncreParams, heatmap, heatmap_csv
+from .ancre import MODES, AncreParams, heatmap, heatmap_csv
 from .dynamics import (RecordOptions, Trajectory, balance_drift, classify_rate,
                        integrate_gf, run_gd)
 from .network import Topology, TrainState
@@ -114,6 +114,30 @@ class ExperimentConfig:
             raise ValueError(f"config field 'optimizer' invalid: {self.optimizer!r}")
         if self.topology is not None and self.ancre_mode is not None:
             raise ValueError("config fields 'topology' and 'ancre_mode' are exclusive")
+        for name in ("lr", "dt", "temperature"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"config field {name!r} must be positive and finite")
+        if self.lr_c is not None and not 0 <= self.lr_c < np.inf:
+            raise ValueError("config field 'lr_c' must be None or >= 0 and finite")
+        if not 0 <= self.t_end < np.inf:
+            raise ValueError("config field 't_end' must be >= 0 and finite")
+        if self.t_end > 0 and self.dt > self.t_end:
+            raise ValueError(f"config field 'dt'={self.dt} exceeds 't_end'={self.t_end}")
+        if self.nonlinearity not in ("none", "tanh"):
+            raise ValueError(f"config field 'nonlinearity' invalid: {self.nonlinearity!r}")
+        if self.ancre_mode is not None and self.ancre_mode not in MODES:
+            raise ValueError(f"config field 'ancre_mode' invalid: {self.ancre_mode!r}")
+        if self.topology is not None:
+            try:
+                parse_topology(self.topology, self.K)
+            except ValueError as exc:
+                raise ValueError(f"config field 'topology' invalid: {exc}") from None
+        if not 0 < self.lam < 1:
+            raise ValueError(f"config field 'lam' must lie in (0, 1), got {self.lam}")
+        lowest = 1 if self.preset == "lb-witness" else 0
+        if not lowest <= self.rank_deficiency < self.d:
+            raise ValueError(f"config field 'rank_deficiency' must lie in "
+                             f"[{lowest}, d={self.d}), got {self.rank_deficiency}")
 
     @classmethod
     def for_preset(cls, preset: str, **overrides) -> "ExperimentConfig":
@@ -146,7 +170,7 @@ class Instance:
 
     def digest(self) -> str:
         h = hashlib.sha256()
-        for arr in (self.A, self.X, self.Y):
+        for arr in (self.A, self.X, self.Y, *self.weights):
             h.update(str(arr.shape).encode())
             h.update(arr.tobytes())
         return h.hexdigest()[:16]
@@ -211,7 +235,9 @@ def parse_topology(text: str, K: int) -> Topology:
         return Topology.cascaded(K)
     pairs = set()
     for part in text.split("+"):
-        i, j = part.split(":")
+        i, sep, j = part.partition(":")
+        if not sep:
+            raise ValueError(f"shortcut {part!r} is not of the form 'i:j'")
         pairs.add((int(i), int(j)))
     return Topology(K=K, shortcuts=frozenset(pairs))
 

@@ -1,16 +1,25 @@
-"""Deep linear (optionally tanh) networks over square layers, with either a
-fixed set of additive shortcuts or learnable softmax-normalized shortcut
-mixing, plus exact reverse-mode gradients for both.
+"""Deep linear (optionally tanh) networks over square layers with residual
+shortcuts, plus exact reverse-mode gradients.
 
-Shortcut semantics: a shortcut i:j adds hidden state h_i after the layer-j
-map, h_j = act(W_j h_{j-1} + sum_i h_i).  Source index 0 is the network
-input, so e.g. the single shortcut 0:2 on a 3-layer net realizes
-W3 (W2 W1 + I) X and the cascaded layout realizes prod_k (W_k + I) X.
+Every layout is one (K+1) x (K+1) coefficient matrix P: entry P[i, j]
+weights hidden state h_i in the input of layer j (source 0 is the network
+input, and only i < j can be nonzero).  A fixed Topology is a constant
+0/1 matrix; a learnable (ANCRe) layout is the softmax of a raw-coefficient
+matrix (see ancre.py).  One recurrence serves both:
+
+    h_j = act(W_j h_{j-1} + sum_i P[i, j] h_i)        (trunk on)
+    h_j = act(W_j sum_i P[i, j] h_i)                  (trunk off, mixing only)
+
+So the single shortcut 0:2 on a 3-layer net realizes W3 (W2 W1 + I) X and
+the cascaded layout realizes prod_k (W_k + I) X.  The sum runs only over
+the nonzero entries of each column, resolved once per fixed layout.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,6 +28,7 @@ from .tensor import ShapeError
 
 __all__ = [
     "Topology",
+    "Layout",
     "TrainState",
     "ForwardTrace",
     "Gradients",
@@ -28,7 +38,26 @@ __all__ = [
     "end_to_end_map",
 ]
 
-WeightStack = list  # list of d x d float64 arrays, W_1 ... W_K
+
+class Layout(NamedTuple):
+    """A coefficient matrix as the recurrence consumes it.
+
+    sources[j] lists, ascending, the i whose entry matrix[i, j] layer j
+    reads; columns[j][i] is matrix[i, j] as a Python float.  params is the
+    softmax recipe when the matrix is learned, else None.
+    """
+
+    matrix: np.ndarray
+    sources: tuple
+    columns: list
+    trunk: bool = True
+    params: AncreParams | None = None
+
+
+@lru_cache(maxsize=None)
+def _all_sources(K: int) -> tuple:
+    """Every candidate source of every layer: sources[j] = (0, ..., j-1)."""
+    return tuple(tuple(range(j)) for j in range(K + 1))
 
 
 @dataclass(frozen=True)
@@ -58,12 +87,15 @@ class Topology:
     def single(cls, i: int, j: int, K: int) -> "Topology":
         return cls(K=K, shortcuts=frozenset({(i, j)}))
 
-    def incoming(self) -> list:
-        """Per-layer source lists: incoming()[k] are the i with (i, k) present."""
-        inc = [[] for _ in range(self.K + 1)]
-        for (i, j) in sorted(self.shortcuts):
-            inc[j].append(i)
-        return inc
+    @cached_property
+    def layout(self) -> Layout:
+        """The constant 0/1 coefficient matrix, resolved once."""
+        m = np.zeros((self.K + 1, self.K + 1))
+        for pair in self.shortcuts:
+            m[pair] = 1.0
+        m.flags.writeable = False
+        sources = tuple(tuple(np.flatnonzero(m[:, j]).tolist()) for j in range(self.K + 1))
+        return Layout(m, sources, m.T.tolist())
 
     def label(self) -> str:
         if not self.shortcuts:
@@ -77,21 +109,20 @@ class Topology:
 class ForwardTrace:
     """Cached values from a forward pass, consumed by backward().
 
-    hidden holds h_0 ... h_K with h_0 = X; mix_inputs holds the aggregated
-    shortcut sums s_1 ... s_K (mixing mode only); pre_activation holds the
-    pre-tanh values (tanh mode only); coeffs holds the softmax weights used.
+    hidden stacks h_0 ... h_K as a (K+1, d, n) array with h_0 = X;
+    mix_inputs holds the shortcut sums s_1 ... s_K that feed the layer maps
+    when the trunk is off (else None); coeffs is the coefficient matrix used.
     """
 
-    hidden: list
+    hidden: np.ndarray
     mix_inputs: list | None = None
-    pre_activation: list | None = None
-    coeffs: dict | None = None
+    coeffs: np.ndarray | None = None
 
 
 @dataclass
 class Gradients:
-    weights: list
-    coeffs: dict | None = None
+    weights: np.ndarray
+    coeffs: np.ndarray | None = None
 
 
 @dataclass
@@ -140,8 +171,8 @@ class TrainState:
         return self.weights[0].shape[0]
 
     def copy(self) -> "TrainState":
-        return replace(self, weights=[w.copy() for w in self.weights],
-                       ancre=self.ancre.with_coeffs(self.ancre.c) if self.ancre else None)
+        # AncreParams holds a read-only matrix, so it is shared, not copied.
+        return replace(self, weights=[w.copy() for w in self.weights])
 
 
 def _check_finite_weights(weights) -> None:
@@ -150,93 +181,113 @@ def _check_finite_weights(weights) -> None:
             raise ValueError(f"layer {k}: weight entries must be finite")
 
 
-def _forward_arrays(weights, X, incoming, p, tanh: bool, trunk: bool):
-    """Shared forward recurrence on raw arrays.
+def _layout(state: TrainState, coeffs: np.ndarray | None = None) -> Layout:
+    """The state's coefficient matrix; coeffs optionally overrides the raw
+    coefficients ancre.c.  The only place that tells a fixed topology from
+    learned coefficients: downstream code reads the Layout alone."""
+    if state.topology is not None:
+        return state.topology.layout
+    params = state.ancre
+    p = normalize(params, coeffs)
+    return Layout(p, _all_sources(params.K), p.T.tolist(), state.trunk, params)
 
-    Exactly one of incoming (fixed topology) and p (mixing weights) is set.
-    Returns (hidden, mix_inputs, pre_activation).
-    """
+
+def _scaled(c: float, x: np.ndarray) -> np.ndarray:
+    """c * x; a unit coefficient (every fixed shortcut) skips the multiply."""
+    return x if c == 1.0 else c * x
+
+
+def _forward_arrays(weights, X, layout: Layout, tanh: bool):
+    """The hidden recurrence; returns (H, mix) with H the stacked h_0 ... h_K
+    and mix the trunk-off layer inputs s_k (None with the trunk on)."""
     K = len(weights)
-    h = [X]
-    mix = [None] if p is not None else None
-    pre = [None] if tanh else None
+    H = np.empty((K + 1,) + X.shape)
+    H[0] = X
+    h = list(H)
+    mix = None if layout.trunk else [None] * (K + 1)
     for k in range(1, K + 1):
-        if p is None:
-            z = weights[k - 1] @ h[k - 1]
-            for i in incoming[k]:
-                z = z + h[i]
+        z = h[k]
+        col = layout.columns[k]
+        if layout.trunk:
+            np.matmul(weights[k - 1], h[k - 1], out=z)
+            for i in layout.sources[k]:
+                z += _scaled(col[i], h[i])
         else:
-            s = p[(0, k)] * h[0]
-            for i in range(1, k):
-                s = s + p[(i, k)] * h[i]
-            if trunk:
-                z = weights[k - 1] @ h[k - 1] + s
-            else:
-                z = weights[k - 1] @ s
-            mix.append(s)
+            s = mix[k] = np.zeros_like(z)
+            for i in layout.sources[k]:
+                s += _scaled(col[i], h[i])
+            np.matmul(weights[k - 1], s, out=z)
         if tanh:
-            pre.append(z)
-            z = np.tanh(z)
-        h.append(z)
-    return h, mix, pre
+            np.tanh(z, out=z)
+    return H, mix
 
 
-def _backward_arrays(weights, X, Y, incoming, p, tanh, trunk, h, mix):
+def _backward_arrays(weights, residual, layout: Layout, tanh: bool, H, mix):
     """Reverse accumulation through the hidden recurrence.
 
-    Visits layers K..1, accumulating the adjoint of every h_i over all of
-    its uses: the next layer's map plus every shortcut (or mixture) it
-    feeds.  Returns (weight_grads, p_grads) with p_grads = dL/dp per pair
-    (mixing mode only; the softmax chain is applied by the caller).
+    Visits layers K..1, accumulating the adjoint of every h_i (i >= 1) over
+    all of its uses: the next layer's map plus every source entry it feeds.
+    Layer k's source adjoint g_k is what multiplies matrix[i, k] h_i in the
+    loss, so dL/dmatrix[i, k] = <h_i, g_k>.  Returns (weight gradients
+    stacked as (K, d, d), [None, g_1, ..., g_K]).
     """
     K = len(weights)
+    h = list(H)
     adj = [None] * (K + 1)
-    adj[K] = h[K] - Y
-    wgrads = [None] * K
-    p_grads = {} if p is not None else None
+    adj[K] = residual
+    wgrads = np.empty((K,) + weights[0].shape)
+    G = [None] * (K + 1)
     for k in range(K, 0, -1):
         delta = adj[k]
         if tanh:
             delta = delta * (1.0 - h[k] * h[k])
-        if p is None:
-            wgrads[k - 1] = delta @ h[k - 1].T
-            back = weights[k - 1].T @ delta
-            adj[k - 1] = back if adj[k - 1] is None else adj[k - 1] + back
-            for i in incoming[k]:
-                adj[i] = delta.copy() if adj[i] is None else adj[i] + delta
-        elif trunk:
-            wgrads[k - 1] = delta @ h[k - 1].T
-            back = weights[k - 1].T @ delta
-            adj[k - 1] = back if adj[k - 1] is None else adj[k - 1] + back
-            for i in range(k):
-                p_grads[(i, k)] = float(np.sum(delta * h[i]))
-                contrib = p[(i, k)] * delta
-                adj[i] = contrib if adj[i] is None else adj[i] + contrib
+        W = weights[k - 1]
+        if layout.trunk:
+            np.matmul(delta, h[k - 1].T, out=wgrads[k - 1])
+            g = delta
+            if k > 1:
+                _accumulate(adj, k - 1, W.T @ delta)
         else:
-            wgrads[k - 1] = delta @ mix[k].T
-            back = weights[k - 1].T @ delta
-            for i in range(k):
-                p_grads[(i, k)] = float(np.sum(back * h[i]))
-                contrib = p[(i, k)] * back
-                adj[i] = contrib if adj[i] is None else adj[i] + contrib
-    return wgrads, p_grads
+            np.matmul(delta, mix[k].T, out=wgrads[k - 1])
+            g = W.T @ delta
+        col = layout.columns[k]
+        for i in layout.sources[k]:
+            if i:
+                _accumulate(adj, i, _scaled(col[i], g))
+        G[k] = g
+    return wgrads, G
 
 
-def _layout(state: TrainState, coeffs: dict | None = None):
-    """Resolve (incoming, p) for a state; coeffs optionally overrides ancre.c."""
-    if state.topology is not None:
-        return state.topology.incoming(), None
-    params = state.ancre if coeffs is None else state.ancre.with_coeffs(coeffs)
-    return None, normalize(params)
+def _accumulate(adj: list, i: int, contrib: np.ndarray) -> None:
+    # out of place: contrib may be another layer's adjoint
+    adj[i] = contrib if adj[i] is None else adj[i] + contrib
+
+
+def _p_gradients(H: np.ndarray, G: list) -> np.ndarray:
+    """dL/dP: column k is the stacked h_0 ... h_{k-1} contracted with g_k."""
+    K = len(G) - 1
+    flat = H.reshape(K + 1, -1)
+    q = np.zeros((K + 1, K + 1))
+    for k in range(1, K + 1):
+        q[:k, k] = flat[:k] @ G[k].ravel()
+    return q
+
+
+def _gradients(weights, residual, layout: Layout, tanh: bool, H, mix):
+    """(weight gradients, raw-coefficient gradients or None for fixed layouts)."""
+    wgrads, G = _backward_arrays(weights, residual, layout, tanh, H, mix)
+    if layout.params is None:
+        return wgrads, None
+    return wgrads, coeff_gradients(layout.params, layout.matrix, _p_gradients(H, G))
 
 
 def forward(state: TrainState):
     """Run the hidden recurrence; returns (output, trace) with output = h_K."""
     _check_finite_weights(state.weights)
-    incoming, p = _layout(state)
-    h, mix, pre = _forward_arrays(state.weights, state.X, incoming, p,
-                                  state.nonlinearity == "tanh", state.trunk)
-    return h[-1], ForwardTrace(hidden=h, mix_inputs=mix, pre_activation=pre, coeffs=p)
+    layout = _layout(state)
+    H, mix = _forward_arrays(state.weights, state.X, layout,
+                             state.nonlinearity == "tanh")
+    return H[-1], ForwardTrace(hidden=H, mix_inputs=mix, coeffs=layout.matrix)
 
 
 def loss(output: np.ndarray, Y: np.ndarray) -> float:
@@ -244,7 +295,7 @@ def loss(output: np.ndarray, Y: np.ndarray) -> float:
     if output.shape != Y.shape:
         raise ShapeError(f"loss shape mismatch: {output.shape} vs {Y.shape}")
     r = output - Y
-    return 0.5 * float(np.sum(r * r))
+    return 0.5 * float(np.vdot(r, r))
 
 
 def backward(state: TrainState, trace: ForwardTrace) -> Gradients:
@@ -255,39 +306,31 @@ def backward(state: TrainState, trace: ForwardTrace) -> Gradients:
         raise ValueError(f"stale trace: {len(trace.hidden) - 1} layers cached, state has {K}")
     if trace.hidden[0].shape != state.X.shape or not np.array_equal(trace.hidden[0], state.X):
         raise ValueError("stale trace: cached input does not match state.X")
-    if (trace.coeffs is None) != (state.ancre is None):
-        raise ValueError("stale trace: layout mode does not match state")
-    incoming, p = (state.topology.incoming(), None) if state.topology is not None \
-        else (None, trace.coeffs)
-    wgrads, p_grads = _backward_arrays(
-        state.weights, state.X, state.Y, incoming, p,
-        state.nonlinearity == "tanh", state.trunk, trace.hidden, trace.mix_inputs)
-    cgrads = None
-    if p_grads is not None:
-        cgrads = coeff_gradients(state.ancre, p, p_grads)
+    layout = _layout(state)
+    if not np.array_equal(trace.coeffs, layout.matrix):
+        raise ValueError("stale trace: coefficient matrix does not match state")
+    H = trace.hidden
+    wgrads, cgrads = _gradients(state.weights, H[K] - state.Y, layout,
+                                state.nonlinearity == "tanh", H, trace.mix_inputs)
     return Gradients(weights=wgrads, coeffs=cgrads)
 
 
 def loss_and_gradients(state: TrainState, weights=None, coeffs=None):
-    """One fused forward/backward pass on raw arrays (integrator hot path).
+    """One fused forward/backward pass (integrator hot path).
 
-    weights/coeffs default to the state's own parameters.  Equivalent to
-    forward + loss + backward; kept lean because gradient-flow integration
-    evaluates it hundreds of thousands of times.
+    weights (a list or a stacked (K, d, d) array) and coeffs (a raw
+    (K+1) x (K+1) coefficient matrix) default to the state's own
+    parameters.  Returns (loss, weight gradients as (K, d, d), coefficient
+    gradients or None); equivalent to forward + loss + backward.
     """
     if weights is None:
         weights = state.weights
-    incoming, p = _layout(state, coeffs)
+    layout = _layout(state, coeffs)
     tanh = state.nonlinearity == "tanh"
-    h, mix, _ = _forward_arrays(weights, state.X, incoming, p, tanh, state.trunk)
-    r = h[-1] - state.Y
-    value = 0.5 * float(np.sum(r * r))
-    wgrads, p_grads = _backward_arrays(weights, state.X, state.Y, incoming, p,
-                                       tanh, state.trunk, h, mix)
-    cgrads = None
-    if p_grads is not None:
-        params = state.ancre if coeffs is None else state.ancre.with_coeffs(coeffs)
-        cgrads = coeff_gradients(params, p, p_grads)
+    H, mix = _forward_arrays(weights, state.X, layout, tanh)
+    r = H[-1] - state.Y
+    value = 0.5 * float(np.vdot(r, r))
+    wgrads, cgrads = _gradients(weights, r, layout, tanh, H, mix)
     return value, wgrads, cgrads
 
 
@@ -301,5 +344,5 @@ def end_to_end_map(weights, topology: Topology, nonlinearity: str = "none") -> n
         raise ValueError("end_to_end_map is only defined for linear networks")
     _check_finite_weights(weights)
     d = weights[0].shape[0]
-    h, _, _ = _forward_arrays(weights, np.eye(d), topology.incoming(), None, False, True)
-    return h[-1]
+    H, _ = _forward_arrays(weights, np.eye(d), topology.layout, False)
+    return H[-1]

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ancre import candidate_mask
 from .network import Topology, TrainState, loss_and_gradients
 from .tensor import make_rng
 
@@ -208,36 +209,33 @@ def fd_gradient(evaluate, params: np.ndarray, eps: float = 1e-6) -> np.ndarray:
 
 
 def pack_state(state: TrainState):
-    """Flatten a state's parameters (weights, then sorted raw coefficients)
-    into one vector; returns (vector, evaluate, analytic_gradient) where
-    evaluate maps a vector to the loss and analytic_gradient to the exact
-    gradient in the same layout.  This is the glue for cross-checking
-    reverse-mode gradients against fd_gradient."""
+    """Flatten a state's parameters (weights, then the raw coefficients of
+    the candidate pairs in sorted order) into one vector; returns (vector,
+    evaluate, analytic_gradient) where evaluate maps a vector to the loss and
+    analytic_gradient to the exact gradient in the same layout.  This is the
+    glue for cross-checking reverse-mode gradients against fd_gradient."""
     K, d = state.K, state.d
-    pairs = sorted(state.ancre.c) if state.ancre is not None else []
-    base = np.concatenate([w.ravel() for w in state.weights] +
-                          ([np.array([state.ancre.c[p] for p in pairs])] if pairs else []))
+    n_w = K * d * d
+    mask = candidate_mask(K) if state.ancre is not None else None
+    base = np.concatenate([np.ravel(state.weights)] +
+                          ([state.ancre.c[mask]] if mask is not None else []))
 
     def split(vec: np.ndarray):
-        weights = [vec[k * d * d:(k + 1) * d * d].reshape(d, d) for k in range(K)]
+        weights = vec[:n_w].reshape(K, d, d)
         coeffs = None
-        if pairs:
-            tail = vec[K * d * d:]
-            coeffs = {p: float(tail[i]) for i, p in enumerate(pairs)}
+        if mask is not None:
+            coeffs = np.zeros(mask.shape)
+            coeffs[mask] = vec[n_w:]
         return weights, coeffs
 
     def evaluate(vec: np.ndarray) -> float:
-        weights, coeffs = split(vec)
-        value, _, _ = loss_and_gradients(state, weights, coeffs)
+        value, _, _ = loss_and_gradients(state, *split(vec))
         return value
 
     def analytic(vec: np.ndarray) -> np.ndarray:
-        weights, coeffs = split(vec)
-        _, wgrads, cgrads = loss_and_gradients(state, weights, coeffs)
-        parts = [g.ravel() for g in wgrads]
-        if pairs:
-            parts.append(np.array([cgrads[p] for p in pairs]))
-        return np.concatenate(parts)
+        _, wgrads, cgrads = loss_and_gradients(state, *split(vec))
+        return np.concatenate([wgrads.ravel()] +
+                              ([cgrads[mask]] if mask is not None else []))
 
     return base, evaluate, analytic
 

@@ -1,40 +1,29 @@
 """Dense float64 linear algebra and seeded data generation.
 
-Everything here is deterministic: fixed starting vectors, fixed sweep
-orders, and a counter-based PRNG (numpy's Philox) so that a given seed
-reproduces the same stream on every run of this implementation.
+Everything here is deterministic: a counter-based PRNG (numpy's Philox)
+makes a given seed reproduce the same stream on every run of this
+implementation.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import numpy as np
 
 __all__ = [
     "ShapeError",
-    "ConvergenceWarning",
     "make_rng",
     "as_matrix",
     "matmul",
     "frobenius_norm",
     "spectral_norm",
-    "jacobi_singular_values",
-    "smallest_singular_value",
     "random_orthogonal",
     "orthonormal_rows",
     "random_orthogonal_data",
 ]
 
-MAX_DIM = 256
-
 
 class ShapeError(ValueError):
     """Raised when operand shapes are incompatible."""
-
-
-class ConvergenceWarning(RuntimeWarning):
-    """Emitted when an iterative routine stops at max_iter without converging."""
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -63,88 +52,9 @@ def frobenius_norm(a: np.ndarray) -> float:
     return float(np.sqrt(np.sum(a * a)))
 
 
-def spectral_norm(a: np.ndarray, tol: float = 1e-12, max_iter: int = 10000) -> float:
-    """Largest singular value via power iteration on a^T a.
-
-    Deterministic all-ones starting vector.  Converges when successive
-    estimates agree to a relative tolerance of `tol`.  If the top two
-    singular values are equal the estimate still converges even though the
-    iterate may not.  Caveat: a starting vector exactly orthogonal to the
-    leading right-singular subspace cannot rotate into it; the all-ones
-    start is fine for the generic and diagonal matrices used here.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    b = a.T @ a
-    v = np.ones(b.shape[0]) / np.sqrt(b.shape[0])
-    est = 0.0
-    for _ in range(max_iter):
-        w = b @ v
-        norm_w = float(np.linalg.norm(w))
-        if norm_w == 0.0:
-            return 0.0
-        # Rayleigh quotient of the PSD matrix a^T a gives sigma_max^2.
-        new_est = float(np.sqrt(max(np.dot(v, w), 0.0)))
-        v = w / norm_w
-        if abs(new_est - est) <= tol * max(new_est, np.finfo(float).tiny):
-            return new_est
-        est = new_est
-    warnings.warn(
-        f"power iteration did not converge in {max_iter} iterations; "
-        f"last estimate {est!r}",
-        ConvergenceWarning,
-        stacklevel=2,
-    )
-    return est
-
-
-def jacobi_singular_values(a: np.ndarray, tol: float = 1e-14, max_sweeps: int = 60) -> np.ndarray:
-    """All singular values by one-sided (Hestenes) Jacobi, sorted descending.
-
-    Cyclic column-pair sweeps in a fixed order make the routine
-    deterministic.  Intended for the small dense matrices used here.
-    """
-    b = np.array(a, dtype=np.float64, copy=True)
-    if b.ndim != 2:
-        raise ShapeError(f"expected a 2-D matrix, got shape {b.shape}")
-    if b.shape[0] < b.shape[1]:
-        b = b.T.copy()
-    n = b.shape[1]
-    for _ in range(max_sweeps):
-        off = 0.0
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                alpha = float(np.dot(b[:, p], b[:, p]))
-                beta = float(np.dot(b[:, q], b[:, q]))
-                gamma = float(np.dot(b[:, p], b[:, q]))
-                if alpha == 0.0 or beta == 0.0:
-                    continue
-                off = max(off, abs(gamma) / np.sqrt(alpha * beta))
-                if abs(gamma) <= tol * np.sqrt(alpha * beta):
-                    continue
-                zeta = (beta - alpha) / (2.0 * gamma)
-                t = np.sign(zeta) / (abs(zeta) + np.sqrt(1.0 + zeta * zeta))
-                if zeta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = c * t
-                bp = b[:, p].copy()
-                b[:, p] = c * bp - s * b[:, q]
-                b[:, q] = s * bp + c * b[:, q]
-        if off <= tol:
-            break
-    sv = np.sqrt(np.sum(b * b, axis=0))
-    sv.sort()
-    return sv[::-1]
-
-
-def smallest_singular_value(a: np.ndarray) -> float:
-    """sigma_min of a square matrix via the full one-sided Jacobi SVD."""
-    if a.shape[0] != a.shape[1]:
-        raise ShapeError(f"expected a square matrix, got shape {a.shape}")
-    if a.shape[0] > MAX_DIM:
-        raise ValueError(f"dimension {a.shape[0]} exceeds supported maximum {MAX_DIM}")
-    return float(jacobi_singular_values(a)[-1])
+def spectral_norm(a: np.ndarray) -> float:
+    """Largest singular value (LAPACK SVD via numpy)."""
+    return float(np.linalg.norm(a, 2))
 
 
 def random_orthogonal(rng: np.random.Generator, d: int) -> np.ndarray:

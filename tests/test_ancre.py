@@ -73,7 +73,7 @@ class TestNormalize:
         p = normalize(params)
         # strictly inside (0, 1) mathematically; at extreme temperature the
         # losing entries underflow to exactly 0.0 in float64
-        assert all(0.0 <= v <= 1.0 for v in p.values())
+        assert np.all((p >= 0.0) & (p <= 1.0))
         for group in normalization_groups(params):
             assert sum(p[g] for g in group) == pytest.approx(1.0, abs=1e-12)
         # adding a constant within one group leaves p unchanged
@@ -108,7 +108,7 @@ class TestNormalize:
 
     def test_extreme_coefficients_do_not_overflow(self):
         p = normalize(make_params(2, {(0, 2): 5e4, (1, 2): -5e4}, tau=1e-3))
-        assert np.isfinite(list(p.values())).all()
+        assert np.isfinite(p).all()
 
 
 class TestCoeffGradients:
@@ -117,7 +117,9 @@ class TestCoeffGradients:
         values = {pair: float(rng.uniform(-1, 1)) for pair in candidate_pairs(3)}
         params = make_params(3, values, tau=0.3)
         p = normalize(params)
-        q = {pair: float(rng.uniform(-2, 2)) for pair in candidate_pairs(3)}
+        q = np.zeros((4, 4))
+        for pair in candidate_pairs(3):
+            q[pair] = rng.uniform(-2, 2)
         got = coeff_gradients(params, p, q)
         for group in normalization_groups(params):
             pv = np.array([p[g] for g in group])
@@ -129,7 +131,7 @@ class TestCoeffGradients:
     def test_singleton_group_has_zero_gradient(self):
         params = make_params(1)
         p = normalize(params)
-        grads = coeff_gradients(params, p, {(0, 1): 123.0})
+        grads = coeff_gradients(params, p, np.array([[0.0, 123.0], [0.0, 0.0]]))
         assert grads[(0, 1)] == 0.0
 
 

@@ -73,21 +73,33 @@ class TestGdStep:
                         X=np.eye(2), Y=np.ones((2, 2)),
                         ancre=AncreParams.uniform(2))
         a = gd_step(st, lr=1e-3, lr_c=0.0)
-        assert all(a.ancre.c[p] == 0.0 for p in a.ancre.c)
+        assert np.all(a.ancre.c == 0.0)
         b = gd_step(st, lr=1e-3, lr_c=1e-1)
-        assert any(b.ancre.c[p] != 0.0 for p in b.ancre.c)
+        assert np.any(b.ancre.c != 0.0)
+
+
+def ancre_state(seed=0, K=3, d=4):
+    st = small_state(seed=seed, K=K, d=d)
+    return TrainState(weights=st.weights, X=st.X, Y=st.Y,
+                      ancre=AncreParams.uniform(K, mode="outgoing", temperature=0.3))
 
 
 class TestRunGd:
     def test_matches_repeated_gd_step(self):
-        st = small_state(seed=5)
-        traj, final = run_gd(st, lr=0.05, iters=3, options=RecordOptions(record_every=1))
-        manual = st
-        for _ in range(3):
-            manual = gd_step(manual, lr=0.05)
-        for a, b in zip(final.weights, manual.weights):
-            np.testing.assert_array_equal(a, b)
-        assert len(traj) == 4
+        # bit for bit through both entry points, for a fixed layout and for
+        # learned coefficients
+        for st in (small_state(seed=5), ancre_state(seed=5)):
+            traj, final = run_gd(st, lr=0.05, iters=3, lr_c=0.2,
+                                 options=RecordOptions(record_every=1))
+            manual = st
+            for _ in range(3):
+                manual = gd_step(manual, lr=0.05, lr_c=0.2)
+            for a, b in zip(final.weights, manual.weights):
+                np.testing.assert_array_equal(a, b)
+            if st.ancre is not None:
+                assert np.any(final.ancre.c != 0.0)
+                np.testing.assert_array_equal(final.ancre.c, manual.ancre.c)
+            assert len(traj) == 4
 
     def test_zero_iters_single_point(self):
         traj, _ = run_gd(small_state(), lr=0.1, iters=0)
@@ -164,7 +176,7 @@ class TestIntegrateGf:
                         X=np.eye(2), Y=np.ones((2, 2)) * 0.5,
                         ancre=AncreParams.uniform(2))
         _, final = integrate_gf(st, dt=1e-2, t_end=1.0, method="rk4")
-        assert any(final.ancre.c[p] != 0.0 for p in final.ancre.c)
+        assert np.any(final.ancre.c != 0.0)
 
 
 class TestClassifyRate:

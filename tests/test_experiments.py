@@ -36,6 +36,19 @@ class TestConfig:
             ExperimentConfig.from_dict({"preset": "custom", "topology": "0:2",
                                         "ancre_mode": "ingoing"})
 
+    @pytest.mark.parametrize("preset,field,value", [
+        ("topo-3layer", "temperature", 0.0),
+        ("custom", "lr", -1.0),
+        ("custom", "topology", "0-2"),
+        ("custom", "ancre_mode", "sideways"),
+        ("lb-witness", "rank_deficiency", 0),
+    ])
+    def test_bad_field_raises_before_any_directory(self, tmp_path, preset, field, value):
+        with pytest.raises(ValueError, match=field):
+            run(ExperimentConfig.for_preset(preset, output_dir=str(tmp_path),
+                                            **{field: value}))
+        assert list(tmp_path.iterdir()) == []
+
     def test_round_trips_through_json(self):
         cfg = ExperimentConfig.for_preset("ub-witness", seed=3)
         import dataclasses
@@ -49,6 +62,13 @@ class TestInstances:
         b = figure_instance(6, 8, 3, seed=5, rank_deficiency=1)
         assert a.digest() == b.digest()
         np.testing.assert_array_equal(a.weights[1], b.weights[1])
+
+    def test_digest_covers_initial_weights(self):
+        # same target and data, W4 shifted by the kdeep pair step
+        flat = figure_instance(8, 16, 4, seed=1, rank_deficiency=1, pair_step=0.0)
+        kdeep = figure_instance(8, 16, 4, seed=1, rank_deficiency=1, pair_step=0.4)
+        np.testing.assert_array_equal(flat.Y, kdeep.Y)
+        assert flat.digest() != kdeep.digest()
 
     def test_pairing_and_rank(self):
         inst = figure_instance(6, 8, 5, seed=2, rank_deficiency=2, pair_step=0.4)

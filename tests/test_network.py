@@ -75,7 +75,8 @@ class TestForward:
         _, trace = forward(st)
         assert len(trace.hidden) == 3
         np.testing.assert_array_equal(trace.hidden[0], st.X)
-        assert trace.mix_inputs is None and trace.coeffs is None
+        assert trace.mix_inputs is None
+        np.testing.assert_array_equal(trace.coeffs, [[0, 1, 0], [0, 0, 1], [0, 0, 0]])
 
     def test_rejects_nonfinite_weights(self):
         st = make_state()
@@ -267,7 +268,7 @@ class TestMixingForward:
         assert value == pytest.approx(loss(out, st.Y), rel=1e-15)
         for a, b in zip(grads.weights, wgrads):
             np.testing.assert_array_equal(a, b)
-        assert grads.coeffs == cgrads
+        np.testing.assert_array_equal(grads.coeffs, cgrads)
 
 
 class TestTrainStateValidation:
