@@ -16,14 +16,16 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import tensor
-from .ancre import candidate_mask, candidate_pairs, normalize
+# `normalize` is not called here.  It stays bound because the benchmark's
+# tracer (perfbench/spans.py) wraps `dynamics.normalize` by name, and
+# `--trace 1` fails with a KeyError where the name is missing.
+from .ancre import normalize  # noqa: F401
 from .network import TrainState, loss_and_gradients
 
 __all__ = [
     "RecordOptions",
     "Trajectory",
     "RateVerdict",
-    "gd_step",
     "run_gd",
     "integrate_gf",
     "classify_rate",
@@ -40,7 +42,6 @@ class RecordOptions:
     record_every: int = 10
     spectral_w1w2: bool = False
     balance_gap: bool = False
-    coeffs: bool = False
     diagonals: bool = False
     stop_below: float | None = None
 
@@ -53,8 +54,6 @@ class Trajectory:
     weight_fro_norms: np.ndarray            # shape (records, K)
     spectral_w1w2: np.ndarray | None = None
     balance_gap: np.ndarray | None = None
-    coeff_pairs: list | None = None
-    coeff_snapshots: np.ndarray | None = None   # shape (records, len(coeff_pairs))
     diagonals: np.ndarray | None = None         # shape (records, K, d); diagnostic only
     diverged: bool = False
 
@@ -104,22 +103,15 @@ class RateVerdict:
 
 
 class _Recorder:
-    def __init__(self, state: TrainState, options: RecordOptions, time_scale: float):
+    def __init__(self, options: RecordOptions, time_scale: float):
         self.time_scale = time_scale
         self.times, self.iters, self.losses, self.fro = [], [], [], []
         self.spec = [] if options.spectral_w1w2 else None
         self.gap = [] if options.balance_gap else None
         self.diag = [] if options.diagonals else None
-        self.pairs = None
-        self.coeffs = None
-        if options.coeffs and state.ancre is not None:
-            # sorted pairs are the row-major order of the candidate mask
-            self.mask = candidate_mask(state.ancre.K)
-            self.pairs = sorted(candidate_pairs(state.ancre.K))
-            self.coeffs = []
         self.last_iter = -1
 
-    def snapshot(self, it: int, value: float, weights, p: np.ndarray | None):
+    def snapshot(self, it: int, value: float, weights):
         if it == self.last_iter:
             return
         self.last_iter = it
@@ -133,8 +125,6 @@ class _Recorder:
             self.gap.append(float(np.sum(weights[0] ** 2) - np.sum(weights[1] ** 2)))
         if self.diag is not None:
             self.diag.append([np.diag(w).copy() for w in weights])
-        if self.coeffs is not None:
-            self.coeffs.append(p[self.mask])
 
     def build(self, diverged: bool) -> Trajectory:
         return Trajectory(
@@ -144,8 +134,6 @@ class _Recorder:
             weight_fro_norms=np.array(self.fro),
             spectral_w1w2=np.array(self.spec) if self.spec is not None else None,
             balance_gap=np.array(self.gap) if self.gap is not None else None,
-            coeff_pairs=self.pairs,
-            coeff_snapshots=np.array(self.coeffs) if self.coeffs is not None else None,
             diagonals=np.array(self.diag) if self.diag is not None else None,
             diverged=diverged,
         )
@@ -178,26 +166,12 @@ def _with_parameters(state: TrainState, weights: np.ndarray,
                    ancre=None if coeffs is None else state.ancre.with_coeffs(coeffs))
 
 
-def gd_step(state: TrainState, lr: float, lr_c: float | None = None) -> TrainState:
-    """One gradient-descent update, W_k <- W_k - lr * grad, and in mixing
-    mode c <- c - lr_c * grad_c (lr_c defaults to lr).  A non-finite
-    gradient freezes the state: the input is returned unchanged."""
-    if not lr > 0:
-        raise ValueError(f"lr must be positive, got {lr}")
-    _, wgrads, cgrads = loss_and_gradients(state)
-    if not _finite(wgrads, cgrads):
-        return state
-    weights, coeffs = _parameters(state)
-    _descend(weights, coeffs, wgrads, cgrads, lr, lr if lr_c is None else lr_c)
-    return _with_parameters(state, weights, coeffs)
-
-
 def _run(state: TrainState, n_steps: int, time_scale: float, options: RecordOptions,
          update) -> tuple[Trajectory, TrainState]:
     """Shared driver: snapshot/stop logic around a per-step in-place update
     update(weights, coeffs, wgrads, cgrads) of the parameter buffers."""
     weights, coeffs = _parameters(state)
-    rec = _Recorder(state, options, time_scale)
+    rec = _Recorder(options, time_scale)
     diverged = False
 
     for it in range(n_steps + 1):
@@ -206,8 +180,7 @@ def _run(state: TrainState, n_steps: int, time_scale: float, options: RecordOpti
         blown = not np.isfinite(value) or value > DIVERGENCE_THRESHOLD
         floored = options.stop_below is not None and value <= options.stop_below
         if record_due or blown or floored:
-            p = normalize(state.ancre, coeffs) if rec.coeffs is not None else None
-            rec.snapshot(it, value, weights, p)
+            rec.snapshot(it, value, weights)
         if blown:
             diverged = True
             break
@@ -223,7 +196,11 @@ def _run(state: TrainState, n_steps: int, time_scale: float, options: RecordOpti
 
 def run_gd(state: TrainState, lr: float, iters: int, lr_c: float | None = None,
            options: RecordOptions | None = None) -> tuple[Trajectory, TrainState]:
-    """Gradient descent for `iters` steps; trajectory time axis is iter * lr."""
+    """Gradient descent for `iters` steps: W_k <- W_k - lr * grad and, in
+    mixing mode, c <- c - lr_c * grad_c (lr_c defaults to lr).  The
+    trajectory's time axis is iter * lr.  A loss blow-up or a non-finite
+    gradient stops the run with `diverged` set, before the step it would
+    have taken."""
     if not lr > 0:
         raise ValueError(f"lr must be positive, got {lr}")
     if iters < 0:

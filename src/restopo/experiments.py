@@ -8,6 +8,11 @@ A run executes one preset (or a custom configuration) and persists, under
     heatmap.csv             learned-coefficient heatmap (mixing presets)
     record.json             verdicts, thresholds, invariant checks, paths
 
+The run directory appears only when the run completes: its files are
+written into a hidden sibling that is then renamed into place, replacing
+an earlier run of the same preset and seed whole.  A run that raises
+leaves the output directory as it found it.
+
 Figure presets draw their target and initial weights from one commuting
 family: a hidden random orthogonal basis R with all matrices of the form
 R diag(.) R^T.  Within that family every shortcut layout evolves as d
@@ -25,14 +30,17 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 import os
+import shutil
+import tempfile
 import time
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from . import __version__
-from .ancre import MODES, AncreParams, heatmap, heatmap_csv
+from .ancre import MODES, AncreParams, candidate_pairs, heatmap, heatmap_csv
 from .dynamics import (RecordOptions, Trajectory, balance_drift, classify_rate,
                        integrate_gf, run_gd)
 from .network import Topology, TrainState
@@ -103,11 +111,23 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.preset not in PRESETS:
             raise ValueError(f"unknown preset {self.preset!r}; known: {sorted(PRESETS)}")
+        for name in ("d", "n", "K", "iters", "record_every", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"config field {name!r} must be an int, got {value!r}")
         for name in ("d", "n", "K", "record_every"):
             if getattr(self, name) < 1:
                 raise ValueError(f"config field {name!r} must be >= 1")
-        if self.iters < 0:
-            raise ValueError("config field 'iters' must be >= 0")
+        for name in ("iters", "seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"config field {name!r} must be >= 0")
+        if not isinstance(self.trunk, bool):
+            raise ValueError(f"config field 'trunk' must be a bool, got {self.trunk!r}")
+        stop = self.stop_below
+        if stop is not None and (isinstance(stop, bool) or not isinstance(stop, (int, float))
+                                 or not math.isfinite(stop)):
+            raise ValueError(f"config field 'stop_below' must be None or a finite "
+                             f"number, got {stop!r}")
         if self.n < self.d:
             raise ValueError(f"config requires n >= d, got d={self.d}, n={self.n}")
         if self.optimizer not in ("gd", "gf-euler", "gf-rk4"):
@@ -245,20 +265,6 @@ def parse_topology(text: str, K: int) -> Topology:
 # ---------------------------------------------------------------------------
 # curve execution
 
-def _curve_options(cfg: ExperimentConfig, state: TrainState, *, spectral=False,
-                   balance=False, diagonals=False) -> RecordOptions:
-    return RecordOptions(record_every=cfg.record_every, stop_below=cfg.stop_below,
-                         spectral_w1w2=spectral, balance_gap=balance,
-                         coeffs=state.ancre is not None, diagonals=diagonals)
-
-
-def _train(cfg: ExperimentConfig, state: TrainState, options: RecordOptions):
-    if cfg.optimizer == "gd":
-        return run_gd(state, cfg.lr, cfg.iters, cfg.lr_c, options)
-    method = "euler" if cfg.optimizer == "gf-euler" else "rk4"
-    return integrate_gf(state, cfg.dt, cfg.t_end, method, options)
-
-
 def iterations_to(traj: Trajectory, threshold: float) -> float:
     hit = np.nonzero(traj.losses <= threshold)[0]
     return float(traj.iters[hit[0]]) if hit.size else float("inf")
@@ -273,8 +279,23 @@ def _verdict_dict(traj: Trajectory) -> dict | None:
             "fit_quality": v.fit_quality, "note": v.note}
 
 
-def _curve_entry(cfg: ExperimentConfig, traj: Trajectory, csv_name: str) -> dict:
-    return {
+def _curve(cfg: ExperimentConfig, record: dict, files: dict, name: str,
+           state: TrainState, extra=None, **channels) -> tuple[Trajectory, TrainState]:
+    """Train one curve with the configured optimizer, then put its CSV text
+    in `files` and its entry in record["curves"] under `name`.
+
+    `channels` switch on optional RecordOptions channels; `extra`, if given,
+    maps the recorded times to further CSV columns {name: values}."""
+    options = RecordOptions(record_every=cfg.record_every, stop_below=cfg.stop_below,
+                            **channels)
+    if cfg.optimizer == "gd":
+        traj, final = run_gd(state, cfg.lr, cfg.iters, cfg.lr_c, options)
+    else:
+        method = "euler" if cfg.optimizer == "gf-euler" else "rk4"
+        traj, final = integrate_gf(state, cfg.dt, cfg.t_end, method, options)
+    csv_name = "trajectory_" + name.replace(":", "-") + ".csv"
+    files[csv_name] = traj.to_csv(extra=extra(traj.times) if extra else None)
+    record["curves"][name] = {
         "trajectory_csv": csv_name,
         "verdict": _verdict_dict(traj),
         "iterations_to": {key: iterations_to(traj, thr)
@@ -283,10 +304,7 @@ def _curve_entry(cfg: ExperimentConfig, traj: Trajectory, csv_name: str) -> dict
         "records": len(traj),
         "diverged": traj.diverged,
     }
-
-
-def _csv_name(curve: str) -> str:
-    return "trajectory_" + curve.replace(":", "-") + ".csv"
+    return traj, final
 
 
 def _check(name: str, value: float, bound: float, kind: str, note: str = "") -> dict:
@@ -321,90 +339,56 @@ def _w3_growth_check(traj: Trajectory, L0: float) -> dict:
 # ---------------------------------------------------------------------------
 # presets
 
-def _figure_curves(cfg: ExperimentConfig, K: int, pair_step: float):
-    inst = figure_instance(cfg.d, cfg.n, K, cfg.seed, cfg.rank_deficiency, pair_step)
-
-    def fixed_state(topology: Topology) -> TrainState:
-        return TrainState(weights=inst.fresh_weights(), X=inst.X, Y=inst.Y,
-                          topology=topology, nonlinearity=cfg.nonlinearity)
-
-    def ancre_state() -> TrainState:
-        params = AncreParams.uniform(K, mode=cfg.ancre_mode or "ingoing",
-                                     temperature=cfg.temperature)
-        return TrainState(weights=inst.fresh_weights(), X=inst.X, Y=inst.Y,
-                          ancre=params, nonlinearity=cfg.nonlinearity,
-                          trunk=cfg.trunk)
-
-    return inst, fixed_state, ancre_state
+# Figure presets: depth K, the fixed layouts trained in this order on one
+# commuting-family instance, and whether an ANCRe curve follows them.
+# custom takes its single layout from the config instead.
+_FIGURES = {
+    "topo-3layer": (3, [Topology.none(3), Topology.cascaded(3),
+                        Topology.single(0, 1, 3), Topology.single(0, 2, 3)], True),
+    "topo-4layer": (4, [Topology(K=4, shortcuts=frozenset(combo))
+                        for combo in itertools.combinations(candidate_pairs(4), 2)]
+                    + [Topology.single(0, 3, 4)], True),
+    "ancre-lnn": (3, [], True),
+}
 
 
-def _run_depth_sweep(cfg: ExperimentConfig, outdir: str, record: dict):
-    i4 = {}
-    digest = None
-    for K in (2, 3, 4):
-        inst = depth_instance(cfg.d, cfg.n, K, cfg.seed)
-        digest = digest or inst.digest()
-        state = TrainState(weights=inst.fresh_weights(), X=inst.X, Y=inst.Y,
-                           topology=Topology.none(K), nonlinearity=cfg.nonlinearity)
-        traj, _ = _train(cfg, state, _curve_options(cfg, state))
-        name = f"K{K}"
-        _write_trajectory(outdir, name, traj)
-        record["curves"][name] = _curve_entry(cfg, traj, _csv_name(name))
-        i4[K] = iterations_to(traj, 1e-4)
-    record["instance_digest"] = digest
-    ordered = i4[2] < i4[3] < i4[4]
-    record["invariant_checks"].append(
-        _check("depth_slowdown_monotone", 1.0 if ordered else 0.0, 1.0, ">=",
-               note=f"iterations to 1e-4 by depth: {i4[2]}, {i4[3]}, {i4[4]}"))
+def _fixed_state(cfg: ExperimentConfig, inst: Instance, topology: Topology) -> TrainState:
+    return TrainState(weights=inst.fresh_weights(), X=inst.X, Y=inst.Y,
+                      topology=topology, nonlinearity=cfg.nonlinearity)
 
 
-def _run_topo_3layer(cfg: ExperimentConfig, outdir: str, record: dict):
-    inst, fixed_state, ancre_state = _figure_curves(cfg, 3, 0.0)
+def _run_figure(cfg: ExperimentConfig, record: dict, files: dict) -> np.ndarray | None:
+    """Train a figure preset's curves on one instance.  When the ANCRe curve
+    mixes ingoing, its learned-coefficient heatmap goes into `files` and
+    is returned."""
+    if cfg.preset == "custom":
+        K, with_ancre = cfg.K, cfg.ancre_mode is not None
+        layouts = [] if with_ancre else [parse_topology(cfg.topology or "none", K)]
+    else:
+        K, layouts, with_ancre = _FIGURES[cfg.preset]
+    inst = figure_instance(cfg.d, cfg.n, K, cfg.seed, cfg.rank_deficiency)
     record["instance_digest"] = inst.digest()
-    layouts = {"none": Topology.none(3), "cascaded": Topology.cascaded(3),
-               "0:1": Topology.single(0, 1, 3), "0:2": Topology.single(0, 2, 3)}
-    for name, topo in layouts.items():
-        state = fixed_state(topo)
-        traj, _ = _train(cfg, state, _curve_options(cfg, state))
-        _write_trajectory(outdir, name, traj)
-        record["curves"][name] = _curve_entry(cfg, traj, _csv_name(name))
-    state = ancre_state()
-    traj, final = _train(cfg, state, _curve_options(cfg, state))
-    _write_trajectory(outdir, "ancre", traj)
-    record["curves"]["ancre"] = _curve_entry(cfg, traj, _csv_name("ancre"))
-    _maybe_emit_heatmap(cfg, outdir, record, final)
-
-
-def _run_topo_4layer(cfg: ExperimentConfig, outdir: str, record: dict):
-    inst, fixed_state, ancre_state = _figure_curves(cfg, 4, 0.0)
-    record["instance_digest"] = inst.digest()
-    candidates = [(i, j) for j in range(1, 5) for i in range(j)]
-    layouts = [Topology(K=4, shortcuts=frozenset(combo))
-               for combo in itertools.combinations(candidates, 2)]
-    layouts.append(Topology.single(0, 3, 4))
     for topo in layouts:
-        name = topo.label()
-        state = fixed_state(topo)
-        traj, _ = _train(cfg, state, _curve_options(cfg, state))
-        _write_trajectory(outdir, name, traj)
-        record["curves"][name] = _curve_entry(cfg, traj, _csv_name(name))
-    state = ancre_state()
-    traj, final = _train(cfg, state, _curve_options(cfg, state))
-    _write_trajectory(outdir, "ancre", traj)
-    record["curves"]["ancre"] = _curve_entry(cfg, traj, _csv_name("ancre"))
-    _maybe_emit_heatmap(cfg, outdir, record, final)
+        _curve(cfg, record, files, topo.label(), _fixed_state(cfg, inst, topo))
+    if not with_ancre:
+        return None
+    params = AncreParams.uniform(K, mode=cfg.ancre_mode or "ingoing",
+                                 temperature=cfg.temperature)
+    state = TrainState(weights=inst.fresh_weights(), X=inst.X, Y=inst.Y, ancre=params,
+                       nonlinearity=cfg.nonlinearity, trunk=cfg.trunk)
+    _, final = _curve(cfg, record, files, "ancre", state)
+    if final.ancre.mode != "ingoing":
+        return None
+    hm = heatmap(final.ancre)
+    files["heatmap.csv"] = heatmap_csv(hm)
+    record["heatmap_csv"] = "heatmap.csv"
+    return hm
 
 
-def _run_ancre_lnn(cfg: ExperimentConfig, outdir: str, record: dict):
-    inst, _, ancre_state = _figure_curves(cfg, 3, 0.0)
-    record["instance_digest"] = inst.digest()
-    state = ancre_state()
-    traj, final = _train(cfg, state, _curve_options(cfg, state))
-    _write_trajectory(outdir, "ancre", traj)
-    record["curves"]["ancre"] = _curve_entry(cfg, traj, _csv_name("ancre"))
-    hm = _maybe_emit_heatmap(cfg, outdir, record, final)
+def _run_ancre_lnn(cfg: ExperimentConfig, record: dict, files: dict):
+    hm = _run_figure(cfg, record, files)
     if hm is not None:
-        K = final.ancre.K
+        K = hm.shape[0] - 1
         worst = float(max(hm[K, 0], hm[K, K - 1]))
         record["invariant_checks"].append(
             _check("suppression_0K_and_Kminus1K", worst, -0.3, "<=",
@@ -412,34 +396,31 @@ def _run_ancre_lnn(cfg: ExperimentConfig, outdir: str, record: dict):
                         f"{[round(float(x), 3) for x in hm[K, :K]]}"))
 
 
-def _maybe_emit_heatmap(cfg: ExperimentConfig, outdir: str, record: dict,
-                        final: TrainState):
-    if final.ancre is None or final.ancre.mode != "ingoing":
-        return None
-    hm = heatmap(final.ancre)
-    path = os.path.join(outdir, "heatmap.csv")
-    _write_text(path, heatmap_csv(hm))
-    record["heatmap_csv"] = "heatmap.csv"
-    return hm
+def _run_depth_sweep(cfg: ExperimentConfig, record: dict, files: dict):
+    i4 = {}
+    for K in (2, 3, 4):
+        inst = depth_instance(cfg.d, cfg.n, K, cfg.seed)
+        record.setdefault("instance_digest", inst.digest())
+        traj, _ = _curve(cfg, record, files, f"K{K}",
+                         _fixed_state(cfg, inst, Topology.none(K)))
+        i4[K] = iterations_to(traj, 1e-4)
+    ordered = i4[2] < i4[3] < i4[4]
+    record["invariant_checks"].append(
+        _check("depth_slowdown_monotone", 1.0 if ordered else 0.0, 1.0, ">=",
+               note=f"iterations to 1e-4 by depth: {i4[2]}, {i4[3]}, {i4[4]}"))
 
 
-def _run_kdeep(cfg: ExperimentConfig, outdir: str, record: dict):
-    digest = None
+def _run_kdeep(cfg: ExperimentConfig, record: dict, files: dict):
     for K in (4, 5):
         inst = figure_instance(cfg.d, cfg.n, K, cfg.seed, cfg.rank_deficiency,
                                KDEEP_PAIR_STEP)
-        digest = digest or inst.digest()
+        record.setdefault("instance_digest", inst.digest())
         for topo in (Topology.single(0, 1, K), Topology.single(0, K - 1, K)):
-            name = f"K{K}_{topo.label()}"
-            state = TrainState(weights=inst.fresh_weights(), X=inst.X, Y=inst.Y,
-                               topology=topo, nonlinearity=cfg.nonlinearity)
-            traj, _ = _train(cfg, state, _curve_options(cfg, state))
-            _write_trajectory(outdir, name, traj)
-            record["curves"][name] = _curve_entry(cfg, traj, _csv_name(name))
-    record["instance_digest"] = digest
+            _curve(cfg, record, files, f"K{K}_{topo.label()}",
+                   _fixed_state(cfg, inst, topo))
 
 
-def _run_lb_witness(cfg: ExperimentConfig, outdir: str, record: dict):
+def _run_lb_witness(cfg: ExperimentConfig, record: dict, files: dict):
     rank_A = cfg.d - cfg.rank_deficiency
     state, diag0 = lb_witness_init(cfg.d, rank_A, cfg.seed)
     record["instance_digest"] = Instance(A=state.Y, weights=state.weights,
@@ -448,11 +429,9 @@ def _run_lb_witness(cfg: ExperimentConfig, outdir: str, record: dict):
     record["witness"] = {"a_d0": a_d0, "rank_A": rank_A,
                          "w_d0": float(diag0.w[-1]), "u_d0": float(diag0.u[-1])}
 
-    options = _curve_options(cfg, state, diagonals=True)
-    traj, _ = _train(cfg, state.copy(), options)
+    traj, _ = _curve(cfg, record, files, "gf", state.copy(), diagonals=True,
+                     extra=lambda t: {"lb_env": lower_bound_curve(a_d0, t)})
     env = lower_bound_curve(a_d0, traj.times)
-    _write_trajectory(outdir, "gf", traj, extra={"lb_env": env})
-    record["curves"]["gf"] = _curve_entry(cfg, traj, _csv_name("gf"))
 
     checks = record["invariant_checks"]
     checks.append(_check("lower_bound_envelope",
@@ -492,7 +471,7 @@ def _run_lb_witness(cfg: ExperimentConfig, outdir: str, record: dict):
     checks.append(_monotone_loss_check(euler_traj, "euler_loss_monotone"))
 
 
-def _run_ub_witness(cfg: ExperimentConfig, outdir: str, record: dict):
+def _run_ub_witness(cfg: ExperimentConfig, record: dict, files: dict):
     state, thr, L0, halvings = ub_witness_init(cfg.d, cfg.lam, cfg.seed)
     record["instance_digest"] = Instance(A=state.Y, weights=state.weights,
                                          X=state.X, Y=state.Y).digest()
@@ -502,11 +481,10 @@ def _run_ub_witness(cfg: ExperimentConfig, outdir: str, record: dict):
     init_norms = [float(np.linalg.norm(w)) for w in state.weights]
     w12_0 = init_norms[0] ** 2 + init_norms[1] ** 2
 
-    options = _curve_options(cfg, state, spectral=True, balance=True)
-    traj, _ = _train(cfg, state.copy(), options)
+    traj, _ = _curve(cfg, record, files, "gf", state.copy(), spectral_w1w2=True,
+                     balance_gap=True,
+                     extra=lambda t: {"ub_env": upper_bound_curve(L0, cfg.lam, t)})
     env = upper_bound_curve(L0, cfg.lam, traj.times)
-    _write_trajectory(outdir, "gf", traj, extra={"ub_env": env})
-    record["curves"]["gf"] = _curve_entry(cfg, traj, _csv_name("gf"))
 
     checks = record["invariant_checks"]
     checks.append(_check("delta_compliant_init", float(max(init_norms)),
@@ -541,50 +519,20 @@ def _run_ub_witness(cfg: ExperimentConfig, outdir: str, record: dict):
                                   f"must lie in [1.6, 2.4]"))
 
 
-def _run_custom(cfg: ExperimentConfig, outdir: str, record: dict):
-    inst = figure_instance(cfg.d, cfg.n, cfg.K, cfg.seed, cfg.rank_deficiency, 0.0)
-    record["instance_digest"] = inst.digest()
-    if cfg.ancre_mode is not None:
-        params = AncreParams.uniform(cfg.K, mode=cfg.ancre_mode,
-                                     temperature=cfg.temperature)
-        state = TrainState(weights=inst.fresh_weights(), X=inst.X, Y=inst.Y,
-                           ancre=params, nonlinearity=cfg.nonlinearity, trunk=cfg.trunk)
-        name = "ancre"
-    else:
-        topo = parse_topology(cfg.topology or "none", cfg.K)
-        state = TrainState(weights=inst.fresh_weights(), X=inst.X, Y=inst.Y,
-                           topology=topo, nonlinearity=cfg.nonlinearity)
-        name = topo.label()
-    traj, final = _train(cfg, state, _curve_options(cfg, state))
-    _write_trajectory(outdir, name, traj)
-    record["curves"][name] = _curve_entry(cfg, traj, _csv_name(name))
-    _maybe_emit_heatmap(cfg, outdir, record, final)
-
-
 _PRESET_RUNNERS = {
     "depth-sweep": _run_depth_sweep,
-    "topo-3layer": _run_topo_3layer,
-    "topo-4layer": _run_topo_4layer,
+    "topo-3layer": _run_figure,
+    "topo-4layer": _run_figure,
     "ancre-lnn": _run_ancre_lnn,
     "kdeep-extension": _run_kdeep,
     "lb-witness": _run_lb_witness,
     "ub-witness": _run_ub_witness,
-    "custom": _run_custom,
+    "custom": _run_figure,
 }
 
 
 # ---------------------------------------------------------------------------
 # persistence
-
-def _write_text(path: str, text: str):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-
-
-def _write_trajectory(outdir: str, curve: str, traj: Trajectory,
-                      extra: dict | None = None):
-    _write_text(os.path.join(outdir, _csv_name(curve)), traj.to_csv(extra=extra))
-
 
 def _jsonable(obj):
     if isinstance(obj, float) and not np.isfinite(obj):
@@ -598,12 +546,21 @@ def _jsonable(obj):
     return obj
 
 
+def _json_text(obj) -> str:
+    return json.dumps(_jsonable(obj), indent=2, sort_keys=True) + "\n"
+
+
 def run(config: ExperimentConfig) -> dict:
-    """Execute a preset and persist its run directory; returns the record."""
+    """Execute a preset and persist its run directory; returns the record.
+
+    The preset's runner only fills `record` and a {file name: text} map;
+    this is the one place that writes.  The files go into a directory
+    inside a hidden sibling of <output_dir>/<preset>_<seed>/ (same
+    filesystem), which is renamed into place once every file is written,
+    replacing an earlier run directory.  An exception while the preset
+    runs or its files are written leaves nothing of this run behind and an
+    earlier run directory as it was."""
     start = time.perf_counter()
-    outdir = os.path.join(config.resolved_output_dir(),
-                          f"{config.preset}_{config.seed}")
-    os.makedirs(outdir, exist_ok=True)
     record = {
         "library": {"name": "restopo", "version": __version__},
         "preset": config.preset,
@@ -612,13 +569,32 @@ def run(config: ExperimentConfig) -> dict:
         "curves": {},
         "invariant_checks": [],
     }
-    _PRESET_RUNNERS[config.preset](config, outdir, record)
+    files = {}
+    _PRESET_RUNNERS[config.preset](config, record, files)
     record["all_checks_passed"] = all(c["passed"] for c in record["invariant_checks"])
     record["wall_clock_s"] = time.perf_counter() - start
-    _write_text(os.path.join(outdir, "config.json"),
-                json.dumps(_jsonable(asdict(config)), indent=2, sort_keys=True) + "\n")
-    _write_text(os.path.join(outdir, "record.json"),
-                json.dumps(_jsonable(record), indent=2, sort_keys=True) + "\n")
+    files["config.json"] = _json_text(asdict(config))
+    files["record.json"] = _json_text(record)
+
+    root = config.resolved_output_dir()
+    name = f"{config.preset}_{config.seed}"
+    outdir = os.path.join(root, name)
+    os.makedirs(root, exist_ok=True)
+    # mkdtemp makes a private (0700) directory; the run directory is made
+    # inside it so that it gets the usual permissions.
+    staging = tempfile.mkdtemp(prefix=f".{name}.", dir=root)
+    try:
+        built = os.path.join(staging, name)
+        os.mkdir(built)
+        for file_name, text in files.items():
+            with open(os.path.join(built, file_name), "w", encoding="utf-8",
+                      newline="\n") as fh:
+                fh.write(text)
+        if os.path.isdir(outdir):
+            shutil.rmtree(outdir)
+        os.rename(built, outdir)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
     record["output_dir"] = outdir
     return record
 

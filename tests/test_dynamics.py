@@ -3,7 +3,7 @@ import pytest
 
 from restopo.ancre import AncreParams
 from restopo.dynamics import (RecordOptions, Trajectory, balance_drift, classify_rate,
-                              gd_step, integrate_gf, run_gd)
+                              integrate_gf, run_gd)
 from restopo.network import Topology, TrainState, forward, loss
 from restopo.oracles import ub_witness_init
 from restopo.tensor import make_rng, random_orthogonal_data
@@ -30,18 +30,23 @@ def synthetic_trajectory(times, losses, diverged=False):
                       weight_fro_norms=np.zeros((len(times), 1)), diverged=diverged)
 
 
+def one_step(state, lr, lr_c=None):
+    """One gradient-descent step through run_gd; returns the final state."""
+    return run_gd(state, lr, 1, lr_c)[1]
+
+
 class TestGdStep:
     def test_zero_gradient_is_fixed_point(self):
         st = small_state()
         out, _ = forward(st)
         fitted = TrainState(weights=st.weights, X=st.X, Y=out, topology=st.topology)
-        nxt = gd_step(fitted, lr=0.1)
+        nxt = one_step(fitted, lr=0.1)
         for a, b in zip(nxt.weights, fitted.weights):
             np.testing.assert_array_equal(a, b)
 
     def test_scalar_hand_iteration(self):
         # w <- w - lr * (w x - y) x at (x, y, w0, lr) = (1, 1, 0, 0.5) gives 0.5
-        nxt = gd_step(scalar_state(), lr=0.5)
+        nxt = one_step(scalar_state(), lr=0.5)
         assert nxt.weights[0][0, 0] == pytest.approx(0.5)
 
     def test_descent_for_small_enough_lr(self):
@@ -49,7 +54,7 @@ class TestGdStep:
         base = loss(forward(st)[0], st.Y)
         lr = 0.25
         for _ in range(20):
-            if loss(forward(gd_step(st, lr))[0], st.Y) < base:
+            if loss(forward(one_step(st, lr))[0], st.Y) < base:
                 break
             lr *= 0.5
         else:
@@ -61,20 +66,22 @@ class TestGdStep:
         st = TrainState(weights=[np.full((1, 1), 1e200), np.full((1, 1), 1e200)],
                         X=np.array([[1.0]]), Y=np.array([[0.0]]),
                         topology=Topology.none(2))
-        nxt = gd_step(st, lr=0.1)
-        assert nxt is st
+        traj, nxt = run_gd(st, lr=0.1, iters=1)
+        assert traj.diverged
+        for a, b in zip(nxt.weights, st.weights):
+            np.testing.assert_array_equal(a, b)
 
     def test_rejects_nonpositive_lr(self):
         with pytest.raises(ValueError):
-            gd_step(scalar_state(), lr=0.0)
+            one_step(scalar_state(), lr=0.0)
 
     def test_coefficient_update_uses_lr_c(self):
         st = TrainState(weights=[np.eye(2) * 0.3, np.eye(2) * 0.3],
                         X=np.eye(2), Y=np.ones((2, 2)),
                         ancre=AncreParams.uniform(2))
-        a = gd_step(st, lr=1e-3, lr_c=0.0)
+        a = one_step(st, lr=1e-3, lr_c=0.0)
         assert np.all(a.ancre.c == 0.0)
-        b = gd_step(st, lr=1e-3, lr_c=1e-1)
+        b = one_step(st, lr=1e-3, lr_c=1e-1)
         assert np.any(b.ancre.c != 0.0)
 
 
@@ -86,14 +93,14 @@ def ancre_state(seed=0, K=3, d=4):
 
 class TestRunGd:
     def test_matches_repeated_gd_step(self):
-        # bit for bit through both entry points, for a fixed layout and for
-        # learned coefficients
+        # three runs of one step equal one run of three, bit for bit, for a
+        # fixed layout and for learned coefficients
         for st in (small_state(seed=5), ancre_state(seed=5)):
             traj, final = run_gd(st, lr=0.05, iters=3, lr_c=0.2,
                                  options=RecordOptions(record_every=1))
             manual = st
             for _ in range(3):
-                manual = gd_step(manual, lr=0.05, lr_c=0.2)
+                manual = one_step(manual, lr=0.05, lr_c=0.2)
             for a, b in zip(final.weights, manual.weights):
                 np.testing.assert_array_equal(a, b)
             if st.ancre is not None:

@@ -1,9 +1,9 @@
 import json
-import os
 
 import numpy as np
 import pytest
 
+from restopo import experiments
 from restopo.cli import main as cli_main
 from restopo.experiments import (ExperimentConfig, compare, figure_instance,
                                  load_record, parse_topology, render_compare, run)
@@ -12,6 +12,12 @@ from restopo.experiments import (ExperimentConfig, compare, figure_instance,
 def read(path):
     with open(path, "rb") as fh:
         return fh.read()
+
+
+def tree(path):
+    """{relative file path: bytes} of every file under `path`."""
+    return {str(f.relative_to(path)): f.read_bytes()
+            for f in sorted(path.rglob("*")) if f.is_file()}
 
 
 class TestConfig:
@@ -42,6 +48,11 @@ class TestConfig:
         ("custom", "topology", "0-2"),
         ("custom", "ancre_mode", "sideways"),
         ("lb-witness", "rank_deficiency", 0),
+        ("custom", "seed", -1),
+        ("custom", "stop_below", "1e-6"),
+        ("custom", "K", 2.5),
+        ("custom", "record_every", True),
+        ("custom", "trunk", "no"),
     ])
     def test_bad_field_raises_before_any_directory(self, tmp_path, preset, field, value):
         with pytest.raises(ValueError, match=field):
@@ -148,6 +159,36 @@ class TestRun:
         rec = run(cfg)
         assert str(tmp_path / "envout") in rec["output_dir"]
         assert (tmp_path / "envout" / "ub-witness_6" / "record.json").exists()
+
+    def test_failed_run_leaves_no_directory(self, tmp_path):
+        # lam close to 1 admits no delta-compliant initialization
+        with pytest.raises(RuntimeError):
+            run(ExperimentConfig.for_preset("ub-witness", lam=0.99,
+                                            output_dir=str(tmp_path)))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_rerun_replaces_the_run_directory(self, tmp_path):
+        for topology in ("0:1", "0:2"):
+            run(ExperimentConfig.for_preset("custom", topology=topology, d=4, n=4,
+                                            iters=50, output_dir=str(tmp_path)))
+        assert [p.name for p in tmp_path.iterdir()] == ["custom_1"]
+        assert sorted(tree(tmp_path / "custom_1")) == [
+            "config.json", "record.json", "trajectory_0-2.csv"]
+
+    def test_failed_rerun_keeps_the_earlier_run(self, tmp_path, monkeypatch):
+        run(ExperimentConfig.for_preset("ancre-lnn", iters=50, output_dir=str(tmp_path)))
+        before = tree(tmp_path)
+
+        def fail(params):
+            raise RuntimeError("heatmap failed")
+
+        # fails after the curve is trained, with the trajectory differing
+        monkeypatch.setattr(experiments, "heatmap", fail)
+        with pytest.raises(RuntimeError, match="heatmap failed"):
+            run(ExperimentConfig.for_preset("ancre-lnn", iters=60,
+                                            output_dir=str(tmp_path)))
+        assert tree(tmp_path) == before
+        assert [p.name for p in tmp_path.iterdir()] == ["ancre-lnn_1"]
 
     def test_divergent_custom_run_recorded_as_diverged(self, tmp_path):
         cfg = ExperimentConfig.from_dict({
