@@ -6,7 +6,7 @@ __version__ = "0.1.0"
 
 from .ancre import AncreParams, candidate_pairs, heatmap, heatmap_csv, normalize
 from .dynamics import (RateVerdict, RecordOptions, Trajectory, balance_drift,
-                       classify_rate, integrate_gf, run_gd)
+                       classify_rate, integrate_gf, run_gd, train_batch)
 from .network import (ForwardTrace, Gradients, Topology, TrainState, backward,
                       end_to_end_map, forward, loss)
 from .oracles import (DeltaThreshold, DiagState, delta_threshold, diag_integrate,
@@ -19,7 +19,7 @@ __all__ = [
     "__version__",
     "AncreParams", "candidate_pairs", "heatmap", "heatmap_csv", "normalize",
     "RateVerdict", "RecordOptions", "Trajectory", "balance_drift",
-    "classify_rate", "integrate_gf", "run_gd",
+    "classify_rate", "integrate_gf", "run_gd", "train_batch",
     "ForwardTrace", "Gradients", "Topology", "TrainState", "backward",
     "end_to_end_map", "forward", "loss",
     "DeltaThreshold", "DiagState", "delta_threshold", "diag_integrate",

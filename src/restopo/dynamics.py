@@ -6,6 +6,13 @@ time axis is the pseudo-time iteration * lr (the raw iteration index is
 kept alongside); for gradient flow it is ODE time.  Explicit Euler with
 step dt is the documented discrete stand-in for exact gradient flow; RK4
 re-evaluates full gradients at stage points for step-size studies.
+
+One driver trains a batch of layouts on one instance: train_batch stacks
+states that share X, Y, depth, nonlinearity and layout kind along a
+leading curve axis and evaluates them in one pass per step.  Each member
+stops on its own (loss blow-up, loss floor, non-finite gradient or step
+budget) and is then frozen, so its trajectory and final state are those
+of a solo run, bit for bit.  run_gd and integrate_gf train one state.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from . import tensor
 # tracer (perfbench/spans.py) wraps `dynamics.normalize` by name, and
 # `--trace 1` fails with a KeyError where the name is missing.
 from .ancre import normalize  # noqa: F401
-from .network import TrainState, loss_and_gradients
+from .network import TrainState, loss_and_gradients, loss_only, stack_layouts
 
 __all__ = [
     "RecordOptions",
@@ -28,6 +35,7 @@ __all__ = [
     "RateVerdict",
     "run_gd",
     "integrate_gf",
+    "train_batch",
     "classify_rate",
     "balance_drift",
 ]
@@ -35,6 +43,7 @@ __all__ = [
 DIVERGENCE_THRESHOLD = 1e9
 LOSS_CLAMP = 1e-300
 STALL_TOL = 1e-12
+METHODS = ("gd", "euler", "rk4")
 
 
 @dataclass
@@ -55,7 +64,16 @@ class Trajectory:
     spectral_w1w2: np.ndarray | None = None
     balance_gap: np.ndarray | None = None
     diagonals: np.ndarray | None = None         # shape (records, K, d); diagnostic only
-    diverged: bool = False
+    # Why the run stopped: "budget" (it took all its steps), "floor" (the
+    # loss reached RecordOptions.stop_below), "loss_blowup" (the loss
+    # exceeded DIVERGENCE_THRESHOLD or was not finite) or "nonfinite_grad";
+    # the last two are divergence.
+    stop_reason: str = "budget"
+    steps: int = 0                              # updates taken before the stop
+
+    @property
+    def diverged(self) -> bool:
+        return self.stop_reason in ("loss_blowup", "nonfinite_grad")
 
     def __len__(self) -> int:
         return len(self.times)
@@ -103,40 +121,44 @@ class RateVerdict:
 
 
 class _Recorder:
-    def __init__(self, options: RecordOptions, time_scale: float):
+    """One trajectory's channels, in arrays sized for `capacity` records
+    (a run's budget step and its stop at most), filled row by row."""
+
+    def __init__(self, options: RecordOptions, time_scale: float, capacity: int,
+                 K: int, d: int):
         self.time_scale = time_scale
-        self.times, self.iters, self.losses, self.fro = [], [], [], []
-        self.spec = [] if options.spectral_w1w2 else None
-        self.gap = [] if options.balance_gap else None
-        self.diag = [] if options.diagonals else None
-        self.last_iter = -1
+        self.n = 0
+        self.iters = np.empty(capacity, dtype=np.int64)
+        self.losses = np.empty(capacity)
+        self.fro = np.empty((capacity, K))
+        self.spec = np.empty(capacity) if options.spectral_w1w2 else None
+        self.gap = np.empty(capacity) if options.balance_gap else None
+        self.diag = np.empty((capacity, K, d)) if options.diagonals else None
 
-    def snapshot(self, it: int, value: float, weights):
-        if it == self.last_iter:
-            return
-        self.last_iter = it
-        self.times.append(it * self.time_scale)
-        self.iters.append(it)
-        self.losses.append(value)
-        self.fro.append([tensor.frobenius_norm(w) for w in weights])
+    def snapshot(self, it: int, value: float, weights: np.ndarray, fro: np.ndarray):
+        """Record step `it`: its loss, the (K, d, d) weights and their
+        Frobenius norms fro."""
+        n = self.n
+        self.iters[n] = it
+        self.losses[n] = value
+        self.fro[n] = fro
         if self.spec is not None:
-            self.spec.append(tensor.spectral_norm(weights[1] @ weights[0]))
+            self.spec[n] = tensor.spectral_norm(weights[1] @ weights[0])
         if self.gap is not None:
-            self.gap.append(float(np.sum(weights[0] ** 2) - np.sum(weights[1] ** 2)))
+            self.gap[n] = np.sum(weights[0] ** 2) - np.sum(weights[1] ** 2)
         if self.diag is not None:
-            self.diag.append([np.diag(w).copy() for w in weights])
+            self.diag[n] = np.diagonal(weights, axis1=-2, axis2=-1)
+        self.n = n + 1
 
-    def build(self, diverged: bool) -> Trajectory:
-        return Trajectory(
-            times=np.array(self.times),
-            iters=np.array(self.iters, dtype=np.int64),
-            losses=np.array(self.losses),
-            weight_fro_norms=np.array(self.fro),
-            spectral_w1w2=np.array(self.spec) if self.spec is not None else None,
-            balance_gap=np.array(self.gap) if self.gap is not None else None,
-            diagonals=np.array(self.diag) if self.diag is not None else None,
-            diverged=diverged,
-        )
+    def build(self, stop_reason: str, steps: int) -> Trajectory:
+        def filled(chan):
+            return None if chan is None else chan[:self.n].copy()
+
+        iters = filled(self.iters)
+        return Trajectory(times=iters * self.time_scale, iters=iters,
+                          losses=filled(self.losses), weight_fro_norms=filled(self.fro),
+                          spectral_w1w2=filled(self.spec), balance_gap=filled(self.gap),
+                          diagonals=filled(self.diag), stop_reason=stop_reason, steps=steps)
 
 
 def _finite(wgrads: np.ndarray, cgrads: np.ndarray | None) -> bool:
@@ -144,7 +166,15 @@ def _finite(wgrads: np.ndarray, cgrads: np.ndarray | None) -> bool:
         cgrads is None or bool(np.isfinite(cgrads).all()))
 
 
-def _descend(weights: np.ndarray, coeffs: np.ndarray | None, wgrads: np.ndarray,
+def _nonfinite_rows(grads: np.ndarray | None) -> set:
+    """The rows (members) of a stacked gradient with a non-finite entry."""
+    if grads is None:
+        return set()
+    return set(np.flatnonzero(~np.isfinite(grads).reshape(len(grads), -1).all(axis=1))
+               .tolist())
+
+
+def _descend(grad, weights: np.ndarray, coeffs: np.ndarray | None, wgrads: np.ndarray,
              cgrads: np.ndarray | None, step: float, step_c: float) -> None:
     """The GD and Euler update, in place: W <- W - step * grad and, in
     mixing mode, c <- c - step_c * grad_c."""
@@ -153,11 +183,26 @@ def _descend(weights: np.ndarray, coeffs: np.ndarray | None, wgrads: np.ndarray,
         coeffs -= step_c * cgrads
 
 
-def _parameters(state: TrainState) -> tuple[np.ndarray, np.ndarray | None]:
-    """Fresh buffers: the weights stacked as (K, d, d) and the raw
-    coefficient matrix (None for a fixed layout)."""
-    return (np.array(state.weights, dtype=np.float64),
-            None if state.ancre is None else state.ancre.c.copy())
+def _shifted(a: np.ndarray | None, scale: float, g: np.ndarray | None) -> np.ndarray | None:
+    return None if a is None else a - scale * g
+
+
+def _rk4(grad, weights: np.ndarray, coeffs: np.ndarray | None, k1w: np.ndarray,
+         k1c: np.ndarray | None, dt: float) -> None:
+    """The classical RK4 update, in place, with stage gradients from grad."""
+    _, k2w, k2c = grad(weights - 0.5 * dt * k1w, _shifted(coeffs, 0.5 * dt, k1c))
+    _, k3w, k3c = grad(weights - 0.5 * dt * k2w, _shifted(coeffs, 0.5 * dt, k2c))
+    _, k4w, k4c = grad(weights - dt * k3w, _shifted(coeffs, dt, k3c))
+    weights -= (dt / 6.0) * (k1w + 2 * k2w + 2 * k3w + k4w)
+    if coeffs is not None:
+        coeffs -= (dt / 6.0) * (k1c + 2 * k2c + 2 * k3c + k4c)
+
+
+def _parameters(states) -> tuple[np.ndarray, np.ndarray | None]:
+    """Fresh buffers with a leading member axis: the weights as (B, K, d, d)
+    and the raw coefficient matrices (None for fixed layouts)."""
+    return (np.array([s.weights for s in states], dtype=np.float64),
+            None if states[0].ancre is None else np.array([s.ancre.c for s in states]))
 
 
 def _with_parameters(state: TrainState, weights: np.ndarray,
@@ -166,32 +211,138 @@ def _with_parameters(state: TrainState, weights: np.ndarray,
                    ancre=None if coeffs is None else state.ancre.with_coeffs(coeffs))
 
 
-def _run(state: TrainState, n_steps: int, time_scale: float, options: RecordOptions,
-         update) -> tuple[Trajectory, TrainState]:
-    """Shared driver: snapshot/stop logic around a per-step in-place update
-    update(weights, coeffs, wgrads, cgrads) of the parameter buffers."""
-    weights, coeffs = _parameters(state)
-    rec = _Recorder(options, time_scale)
-    diverged = False
+def _evaluators(states, active: list):
+    """(grad, value) over the stacked parameters of the members `active`:
+    grad(weights, coeffs) -> (losses, weight gradients, coefficient
+    gradients) and value(weights, coeffs) -> losses, one loss per row.
+
+    A lone active member is evaluated without the member axis, as a solo
+    run; more go through the stacked layout of the active members."""
+    state = states[active[0]]
+    if len(active) == 1:
+        def grad(weights, coeffs):
+            value, wgrads, cgrads = loss_and_gradients(
+                state, weights[0], None if coeffs is None else coeffs[0])
+            return [value], wgrads[None], None if cgrads is None else cgrads[None]
+
+        def value(weights, coeffs):
+            return [loss_only(state, weights[0], None if coeffs is None else coeffs[0])]
+    else:
+        layout = stack_layouts([states[m].topology.layout for m in active])
+
+        def grad(weights, coeffs):
+            values, wgrads, _ = loss_and_gradients(state, weights, None, layout)
+            return values.tolist(), wgrads, None
+
+        def value(weights, coeffs):
+            return loss_only(state, weights, None, layout).tolist()
+    return grad, value
+
+
+def _run(states, n_steps: int, time_scale: float, options: RecordOptions,
+         update) -> list[tuple[Trajectory, TrainState]]:
+    """The one driver, over members stacked along a leading axis.
+
+    Each step evaluates the active members in one pass, records those due
+    (every record_every steps, and at a stop) and stops, each on its own,
+    the members whose loss blew up or reached the floor, whose budget is
+    spent, or whose gradient is not finite; a stopped member keeps the
+    parameters it stopped with.  The rest take update(grad, weights,
+    coeffs, wgrads, cgrads), in place, where grad evaluates the active
+    members at other parameters (for RK4 stages).  The budget step
+    evaluates the loss alone."""
+    weights, coeffs = _parameters(states)
+    active = list(range(len(states)))           # the member of each row
+    capacity = n_steps // options.record_every + 2
+    recs = [_Recorder(options, time_scale, capacity, s.K, s.d) for s in states]
+    results = [None] * len(states)
+    grad, value = _evaluators(states, active)
+    floor, every = options.stop_below, options.record_every
 
     for it in range(n_steps + 1):
-        value, wgrads, cgrads = loss_and_gradients(state, weights, coeffs)
-        record_due = (it % options.record_every == 0) or it == n_steps
-        blown = not np.isfinite(value) or value > DIVERGENCE_THRESHOLD
-        floored = options.stop_below is not None and value <= options.stop_below
-        if record_due or blown or floored:
-            rec.snapshot(it, value, weights)
-        if blown:
-            diverged = True
-            break
-        if floored or it == n_steps:
-            break
-        if not _finite(wgrads, cgrads):
-            diverged = True
-            break
-        update(weights, coeffs, wgrads, cgrads)
+        budget = it == n_steps
+        if budget:
+            values = value(weights, coeffs)
+        else:
+            values, wgrads, cgrads = grad(weights, coeffs)
+        stops = {}
+        for row, v in enumerate(values):
+            if not v <= DIVERGENCE_THRESHOLD:
+                stops[row] = "loss_blowup"
+            elif floor is not None and v <= floor:
+                stops[row] = "floor"
+            elif budget:
+                stops[row] = "budget"
+        due = budget or it % every == 0
+        if due or stops:
+            fro = tensor.frobenius_norm(weights)
+            for row, member in enumerate(active):
+                if due or row in stops:
+                    recs[member].snapshot(it, values[row], weights[row], fro[row])
+        if not budget and not _finite(wgrads, cgrads):
+            for row in _nonfinite_rows(wgrads) | _nonfinite_rows(cgrads):
+                stops.setdefault(row, "nonfinite_grad")
+        if stops:
+            for row, reason in stops.items():
+                member = active[row]
+                results[member] = (recs[member].build(reason, it), _with_parameters(
+                    states[member], weights[row], None if coeffs is None else coeffs[row]))
+            keep = [row for row in range(len(active)) if row not in stops]
+            if not keep:
+                break
+            active = [active[row] for row in keep]
+            weights, wgrads = weights[keep], wgrads[keep]
+            if coeffs is not None:
+                coeffs, cgrads = coeffs[keep], cgrads[keep]
+            grad, value = _evaluators(states, active)
+        update(grad, weights, coeffs, wgrads, cgrads)
 
-    return rec.build(diverged), _with_parameters(state, weights, coeffs)
+    return results
+
+
+def _check_batch(states) -> None:
+    if not states:
+        raise ValueError("a batch needs at least one state")
+    first = states[0]
+    for s in states[1:]:
+        if ((s.K, s.nonlinearity, s.ancre is None) != (first.K, first.nonlinearity,
+                                                         first.ancre is None)
+                or not (np.array_equal(s.X, first.X) and np.array_equal(s.Y, first.Y))):
+            raise ValueError("batch members must share X, Y, depth K, nonlinearity "
+                             "and layout kind (fixed or learned)")
+    if len(states) > 1 and first.ancre is not None:
+        raise ValueError("learned (ANCRe) layouts train one per batch")
+
+
+def _drive(states, method: str, step: float, n_steps: int, lr_c: float | None,
+           options: RecordOptions | None) -> list[tuple[Trajectory, TrainState]]:
+    options = options or RecordOptions()
+    if method == "rk4":
+        update = functools.partial(_rk4, dt=step)
+    else:
+        update = functools.partial(_descend, step=step, step_c=step if lr_c is None else lr_c)
+    return _run(states, n_steps, step, options, update)
+
+
+def train_batch(states, method: str, step: float, n_steps: int, lr_c: float | None = None,
+                options: RecordOptions | None = None) -> list[tuple[Trajectory, TrainState]]:
+    """Train `states` as one batch for n_steps steps; returns one
+    (trajectory, final state) per state, in order, each equal to what a
+    solo run_gd or integrate_gf of that state gives.
+
+    method is "gd" (step is lr, and lr_c, default lr, the coefficient
+    rate), "euler" or "rk4" (step is dt).  The time axis is iteration *
+    step.  The members must share X, Y, depth K, nonlinearity and layout
+    kind; their initial weights and fixed layouts may differ.  Learned
+    (ANCRe) layouts train one per batch."""
+    if method not in METHODS:
+        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
+    if not step > 0:
+        raise ValueError(f"step must be positive, got {step}")
+    if n_steps < 0:
+        raise ValueError("n_steps must be >= 0")
+    _check_batch(states)
+    return _drive(states, method, step, n_steps, lr_c, options)
 
 
 def run_gd(state: TrainState, lr: float, iters: int, lr_c: float | None = None,
@@ -205,16 +356,14 @@ def run_gd(state: TrainState, lr: float, iters: int, lr_c: float | None = None,
         raise ValueError(f"lr must be positive, got {lr}")
     if iters < 0:
         raise ValueError("iters must be >= 0")
-    lr_c = lr if lr_c is None else lr_c
-    options = options or RecordOptions()
-    update = functools.partial(_descend, step=lr, step_c=lr_c)
-    return _run(state, iters, lr, options, update)
+    return _drive([state], "gd", lr, iters, lr_c, options)[0]
 
 
 def integrate_gf(state: TrainState, dt: float, t_end: float, method: str = "euler",
                  options: RecordOptions | None = None) -> tuple[Trajectory, TrainState]:
     """Integrate the gradient-flow ODE dtheta/dt = -grad L over all
-    parameters (weights and, in mixing mode, raw coefficients)."""
+    parameters (weights and, in mixing mode, raw coefficients) for
+    round(t_end / dt) steps."""
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
     if t_end < 0:
@@ -223,26 +372,7 @@ def integrate_gf(state: TrainState, dt: float, t_end: float, method: str = "eule
         raise ValueError(f"dt={dt} exceeds t_end={t_end}")
     if method not in ("euler", "rk4"):
         raise ValueError(f"method must be 'euler' or 'rk4', got {method!r}")
-    options = options or RecordOptions()
-    n_steps = int(round(t_end / dt))
-
-    if method == "euler":
-        update = functools.partial(_descend, step=dt, step_c=dt)
-    else:
-        def stage(weights, coeffs, scale, gw, gc):
-            shifted_c = None if coeffs is None else coeffs - scale * gc
-            _, sw, sc = loss_and_gradients(state, weights - scale * gw, shifted_c)
-            return sw, sc
-
-        def update(weights, coeffs, k1w, k1c):
-            k2w, k2c = stage(weights, coeffs, 0.5 * dt, k1w, k1c)
-            k3w, k3c = stage(weights, coeffs, 0.5 * dt, k2w, k2c)
-            k4w, k4c = stage(weights, coeffs, dt, k3w, k3c)
-            weights -= (dt / 6.0) * (k1w + 2 * k2w + 2 * k3w + k4w)
-            if coeffs is not None:
-                coeffs -= (dt / 6.0) * (k1c + 2 * k2c + 2 * k3c + k4c)
-
-    return _run(state, n_steps, dt, options, update)
+    return _drive([state], method, dt, int(round(t_end / dt)), None, options)[0]
 
 
 def _least_squares(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:

@@ -6,7 +6,11 @@ A run executes one preset (or a custom configuration) and persists, under
     config.json             the exact configuration echo
     trajectory_<curve>.csv  one loss/norm trajectory per trained curve
     heatmap.csv             learned-coefficient heatmap (mixing presets)
-    record.json             verdicts, thresholds, invariant checks, paths
+    record.json             verdicts, thresholds, steps and stop reasons,
+                            invariant checks, paths
+
+The fixed layouts a preset trains on one instance are trained as one batch
+(dynamics.train_batch); each curve's records equal those of a solo run.
 
 The run directory appears only when the run completes: its files are
 written into a hidden sibling that is then renamed into place, replacing
@@ -42,7 +46,7 @@ import numpy as np
 from . import __version__
 from .ancre import MODES, AncreParams, candidate_pairs, heatmap, heatmap_csv
 from .dynamics import (RecordOptions, Trajectory, balance_drift, classify_rate,
-                       integrate_gf, run_gd)
+                       integrate_gf, run_gd, train_batch)
 from .network import Topology, TrainState
 from .oracles import (diag_integrate, lb_witness_init, lower_bound_curve,
                       ub_witness_init, upper_bound_curve)
@@ -111,10 +115,16 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.preset not in PRESETS:
             raise ValueError(f"unknown preset {self.preset!r}; known: {sorted(PRESETS)}")
-        for name in ("d", "n", "K", "iters", "record_every", "seed"):
+        for name in ("d", "n", "K", "iters", "record_every", "seed", "rank_deficiency"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ValueError(f"config field {name!r} must be an int, got {value!r}")
+        for name in ("lr", "lr_c", "dt", "t_end", "temperature", "lam", "stop_below"):
+            value = getattr(self, name)
+            if value is None and name in ("lr_c", "stop_below"):
+                continue
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"config field {name!r} must be a number, got {value!r}")
         for name in ("d", "n", "K", "record_every"):
             if getattr(self, name) < 1:
                 raise ValueError(f"config field {name!r} must be >= 1")
@@ -123,11 +133,9 @@ class ExperimentConfig:
                 raise ValueError(f"config field {name!r} must be >= 0")
         if not isinstance(self.trunk, bool):
             raise ValueError(f"config field 'trunk' must be a bool, got {self.trunk!r}")
-        stop = self.stop_below
-        if stop is not None and (isinstance(stop, bool) or not isinstance(stop, (int, float))
-                                 or not math.isfinite(stop)):
-            raise ValueError(f"config field 'stop_below' must be None or a finite "
-                             f"number, got {stop!r}")
+        if self.stop_below is not None and not math.isfinite(self.stop_below):
+            raise ValueError(f"config field 'stop_below' must be None or finite, "
+                             f"got {self.stop_below!r}")
         if self.n < self.d:
             raise ValueError(f"config requires n >= d, got d={self.d}, n={self.n}")
         if self.optimizer not in ("gd", "gf-euler", "gf-rk4"):
@@ -279,32 +287,48 @@ def _verdict_dict(traj: Trajectory) -> dict | None:
             "fit_quality": v.fit_quality, "note": v.note}
 
 
-def _curve(cfg: ExperimentConfig, record: dict, files: dict, name: str,
-           state: TrainState, extra=None, **channels) -> tuple[Trajectory, TrainState]:
-    """Train one curve with the configured optimizer, then put its CSV text
-    in `files` and its entry in record["curves"] under `name`.
+def _train(cfg: ExperimentConfig, states: list, options: RecordOptions) -> list:
+    """Train `states` as one batch with the configured optimizer; returns
+    their (trajectory, final state) pairs.  A lone state goes through
+    run_gd or integrate_gf."""
+    gd = cfg.optimizer == "gd"
+    method = "gd" if gd else cfg.optimizer.removeprefix("gf-")
+    if len(states) > 1:
+        if gd:
+            return train_batch(states, method, cfg.lr, cfg.iters, cfg.lr_c, options)
+        return train_batch(states, method, cfg.dt, int(round(cfg.t_end / cfg.dt)),
+                           None, options)
+    if gd:
+        return [run_gd(states[0], cfg.lr, cfg.iters, cfg.lr_c, options)]
+    return [integrate_gf(states[0], cfg.dt, cfg.t_end, method, options)]
+
+
+def _curve(cfg: ExperimentConfig, record: dict, files: dict, curves: list,
+           extra=None, **channels) -> list[tuple[Trajectory, TrainState]]:
+    """Train the (name, state) pairs of `curves` as one batch, then put each
+    curve's CSV text in `files` and its entry in record["curves"] under its
+    name, in order; returns the (trajectory, final state) pairs.
 
     `channels` switch on optional RecordOptions channels; `extra`, if given,
     maps the recorded times to further CSV columns {name: values}."""
     options = RecordOptions(record_every=cfg.record_every, stop_below=cfg.stop_below,
                             **channels)
-    if cfg.optimizer == "gd":
-        traj, final = run_gd(state, cfg.lr, cfg.iters, cfg.lr_c, options)
-    else:
-        method = "euler" if cfg.optimizer == "gf-euler" else "rk4"
-        traj, final = integrate_gf(state, cfg.dt, cfg.t_end, method, options)
-    csv_name = "trajectory_" + name.replace(":", "-") + ".csv"
-    files[csv_name] = traj.to_csv(extra=extra(traj.times) if extra else None)
-    record["curves"][name] = {
-        "trajectory_csv": csv_name,
-        "verdict": _verdict_dict(traj),
-        "iterations_to": {key: iterations_to(traj, thr)
-                          for key, thr in zip(THRESHOLD_KEYS, THRESHOLDS)},
-        "final_loss": float(traj.losses[-1]),
-        "records": len(traj),
-        "diverged": traj.diverged,
-    }
-    return traj, final
+    results = _train(cfg, [state for _, state in curves], options)
+    for (name, _), (traj, _) in zip(curves, results):
+        csv_name = "trajectory_" + name.replace(":", "-") + ".csv"
+        files[csv_name] = traj.to_csv(extra=extra(traj.times) if extra else None)
+        record["curves"][name] = {
+            "trajectory_csv": csv_name,
+            "verdict": _verdict_dict(traj),
+            "iterations_to": {key: iterations_to(traj, thr)
+                              for key, thr in zip(THRESHOLD_KEYS, THRESHOLDS)},
+            "final_loss": float(traj.losses[-1]),
+            "records": len(traj),
+            "steps": traj.steps,
+            "stop_reason": traj.stop_reason,
+            "diverged": traj.diverged,
+        }
+    return results
 
 
 def _check(name: str, value: float, bound: float, kind: str, note: str = "") -> dict:
@@ -368,15 +392,16 @@ def _run_figure(cfg: ExperimentConfig, record: dict, files: dict) -> np.ndarray 
         K, layouts, with_ancre = _FIGURES[cfg.preset]
     inst = figure_instance(cfg.d, cfg.n, K, cfg.seed, cfg.rank_deficiency)
     record["instance_digest"] = inst.digest()
-    for topo in layouts:
-        _curve(cfg, record, files, topo.label(), _fixed_state(cfg, inst, topo))
+    if layouts:
+        _curve(cfg, record, files,
+               [(topo.label(), _fixed_state(cfg, inst, topo)) for topo in layouts])
     if not with_ancre:
         return None
     params = AncreParams.uniform(K, mode=cfg.ancre_mode or "ingoing",
                                  temperature=cfg.temperature)
     state = TrainState(weights=inst.fresh_weights(), X=inst.X, Y=inst.Y, ancre=params,
                        nonlinearity=cfg.nonlinearity, trunk=cfg.trunk)
-    _, final = _curve(cfg, record, files, "ancre", state)
+    [(_, final)] = _curve(cfg, record, files, [("ancre", state)])
     if final.ancre.mode != "ingoing":
         return None
     hm = heatmap(final.ancre)
@@ -401,8 +426,8 @@ def _run_depth_sweep(cfg: ExperimentConfig, record: dict, files: dict):
     for K in (2, 3, 4):
         inst = depth_instance(cfg.d, cfg.n, K, cfg.seed)
         record.setdefault("instance_digest", inst.digest())
-        traj, _ = _curve(cfg, record, files, f"K{K}",
-                         _fixed_state(cfg, inst, Topology.none(K)))
+        [(traj, _)] = _curve(cfg, record, files,
+                             [(f"K{K}", _fixed_state(cfg, inst, Topology.none(K)))])
         i4[K] = iterations_to(traj, 1e-4)
     ordered = i4[2] < i4[3] < i4[4]
     record["invariant_checks"].append(
@@ -415,9 +440,9 @@ def _run_kdeep(cfg: ExperimentConfig, record: dict, files: dict):
         inst = figure_instance(cfg.d, cfg.n, K, cfg.seed, cfg.rank_deficiency,
                                KDEEP_PAIR_STEP)
         record.setdefault("instance_digest", inst.digest())
-        for topo in (Topology.single(0, 1, K), Topology.single(0, K - 1, K)):
-            _curve(cfg, record, files, f"K{K}_{topo.label()}",
-                   _fixed_state(cfg, inst, topo))
+        _curve(cfg, record, files,
+               [(f"K{K}_{topo.label()}", _fixed_state(cfg, inst, topo))
+                for topo in (Topology.single(0, 1, K), Topology.single(0, K - 1, K))])
 
 
 def _run_lb_witness(cfg: ExperimentConfig, record: dict, files: dict):
@@ -429,8 +454,8 @@ def _run_lb_witness(cfg: ExperimentConfig, record: dict, files: dict):
     record["witness"] = {"a_d0": a_d0, "rank_A": rank_A,
                          "w_d0": float(diag0.w[-1]), "u_d0": float(diag0.u[-1])}
 
-    traj, _ = _curve(cfg, record, files, "gf", state.copy(), diagonals=True,
-                     extra=lambda t: {"lb_env": lower_bound_curve(a_d0, t)})
+    [(traj, _)] = _curve(cfg, record, files, [("gf", state.copy())], diagonals=True,
+                         extra=lambda t: {"lb_env": lower_bound_curve(a_d0, t)})
     env = lower_bound_curve(a_d0, traj.times)
 
     checks = record["invariant_checks"]
@@ -481,9 +506,9 @@ def _run_ub_witness(cfg: ExperimentConfig, record: dict, files: dict):
     init_norms = [float(np.linalg.norm(w)) for w in state.weights]
     w12_0 = init_norms[0] ** 2 + init_norms[1] ** 2
 
-    traj, _ = _curve(cfg, record, files, "gf", state.copy(), spectral_w1w2=True,
-                     balance_gap=True,
-                     extra=lambda t: {"ub_env": upper_bound_curve(L0, cfg.lam, t)})
+    [(traj, _)] = _curve(cfg, record, files, [("gf", state.copy())], spectral_w1w2=True,
+                         balance_gap=True,
+                         extra=lambda t: {"ub_env": upper_bound_curve(L0, cfg.lam, t)})
     env = upper_bound_curve(L0, cfg.lam, traj.times)
 
     checks = record["invariant_checks"]

@@ -13,6 +13,11 @@ matrix (see ancre.py).  One recurrence serves both:
 So the single shortcut 0:2 on a 3-layer net realizes W3 (W2 W1 + I) X and
 the cascaded layout realizes prod_k (W_k + I) X.  The sum runs only over
 the nonzero entries of each column, resolved once per fixed layout.
+
+The recurrence also takes a leading curve axis: weights stacked as
+(B, K, d, d) under a stacked layout of B fixed layouts (stack_layouts)
+train B curves on one X and Y in one pass.  Each member's arithmetic is
+that of its own solo pass, bit for bit; a lone curve carries no extra axis.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ __all__ = [
     "forward",
     "backward",
     "loss",
+    "stack_layouts",
     "end_to_end_map",
 ]
 
@@ -45,6 +51,10 @@ class Layout(NamedTuple):
     sources[j] lists, ascending, the i whose entry matrix[i, j] layer j
     reads; columns[j][i] is matrix[i, j] as a Python float.  params is the
     softmax recipe when the matrix is learned, else None.
+
+    A stacked layout (stack_layouts) has a (B, K+1, K+1) matrix, sources[j]
+    the union of its members' sources, and columns[j][i] a (B, 1, 1) bool
+    array marking the members whose entry matrix[i, j] is 1.
     """
 
     matrix: np.ndarray
@@ -103,6 +113,19 @@ class Topology:
         if self.shortcuts == frozenset((k - 1, k) for k in range(1, self.K + 1)):
             return "cascaded"
         return "+".join(f"{i}:{j}" for (i, j) in sorted(self.shortcuts))
+
+
+def stack_layouts(layouts) -> Layout:
+    """One layout for a batch of fixed layouts of one depth, in order."""
+    matrix = np.stack([layout.matrix for layout in layouts])
+    if not np.all((matrix == 0.0) | (matrix == 1.0)):
+        raise ValueError("only fixed 0/1 layouts stack")
+    K = matrix.shape[-1] - 1
+    sources = tuple(tuple(np.flatnonzero(matrix[:, :, j].any(axis=0)).tolist())
+                    for j in range(K + 1))
+    member = matrix.astype(bool)
+    columns = [[member[:, i, j, None, None] for i in range(K + 1)] for j in range(K + 1)]
+    return Layout(matrix, sources, columns)
 
 
 @dataclass
@@ -192,16 +215,29 @@ def _layout(state: TrainState, coeffs: np.ndarray | None = None) -> Layout:
     return Layout(p, _all_sources(params.K), p.T.tolist(), state.trunk, params)
 
 
-def _scaled(c: float, x: np.ndarray) -> np.ndarray:
-    """c * x; a unit coefficient (every fixed shortcut) skips the multiply."""
+def _scaled(c, x: np.ndarray) -> np.ndarray:
+    """c * x; a unit coefficient (every fixed shortcut) skips the multiply.
+    A stacked layout's bool column keeps x for its members and gives the
+    others exact zeros, whatever their own x holds."""
+    if isinstance(c, np.ndarray):
+        return np.where(c, x, 0.0)
     return x if c == 1.0 else c * x
+
+
+def _by_layer(a: np.ndarray) -> np.ndarray:
+    """A (K, d, d) or a batch's (B, K, d, d) stack as a view indexed by
+    layer first."""
+    return a if a.ndim == 3 else a.swapaxes(0, 1)
 
 
 def _forward_arrays(weights, X, layout: Layout, tanh: bool):
     """The hidden recurrence; returns (H, mix) with H the stacked h_0 ... h_K
-    and mix the trunk-off layer inputs s_k (None with the trunk on)."""
-    K = len(weights)
-    H = np.empty((K + 1,) + X.shape)
+    (each with the weights' leading curve axis, if any) and mix the
+    trunk-off layer inputs s_k (None with the trunk on).  weights is an
+    array, (K, d, d) or (B, K, d, d)."""
+    layers = _by_layer(weights)
+    K = len(layers)
+    H = np.empty((K + 1,) + weights.shape[:-3] + X.shape)
     H[0] = X
     h = list(H)
     mix = None if layout.trunk else [None] * (K + 1)
@@ -209,14 +245,14 @@ def _forward_arrays(weights, X, layout: Layout, tanh: bool):
         z = h[k]
         col = layout.columns[k]
         if layout.trunk:
-            np.matmul(weights[k - 1], h[k - 1], out=z)
+            np.matmul(layers[k - 1], h[k - 1], out=z)
             for i in layout.sources[k]:
                 z += _scaled(col[i], h[i])
         else:
             s = mix[k] = np.zeros_like(z)
             for i in layout.sources[k]:
                 s += _scaled(col[i], h[i])
-            np.matmul(weights[k - 1], s, out=z)
+            np.matmul(layers[k - 1], s, out=z)
         if tanh:
             np.tanh(z, out=z)
     return H, mix
@@ -229,27 +265,28 @@ def _backward_arrays(weights, residual, layout: Layout, tanh: bool, H, mix):
     all of its uses: the next layer's map plus every source entry it feeds.
     Layer k's source adjoint g_k is what multiplies matrix[i, k] h_i in the
     loss, so dL/dmatrix[i, k] = <h_i, g_k>.  Returns (weight gradients
-    stacked as (K, d, d), [None, g_1, ..., g_K]).
+    shaped like the weights, [None, g_1, ..., g_K]).
     """
-    K = len(weights)
-    h = list(H)
+    layers_t = _by_layer(weights).swapaxes(-1, -2)
+    K = len(layers_t)
+    h, h_t = list(H), H.swapaxes(-1, -2)
     adj = [None] * (K + 1)
     adj[K] = residual
-    wgrads = np.empty((K,) + weights[0].shape)
+    wgrads = np.empty(weights.shape)
+    out = _by_layer(wgrads)
     G = [None] * (K + 1)
     for k in range(K, 0, -1):
         delta = adj[k]
         if tanh:
             delta = delta * (1.0 - h[k] * h[k])
-        W = weights[k - 1]
         if layout.trunk:
-            np.matmul(delta, h[k - 1].T, out=wgrads[k - 1])
+            np.matmul(delta, h_t[k - 1], out=out[k - 1])
             g = delta
             if k > 1:
-                _accumulate(adj, k - 1, W.T @ delta)
+                _accumulate(adj, k - 1, layers_t[k - 1] @ delta)
         else:
-            np.matmul(delta, mix[k].T, out=wgrads[k - 1])
-            g = W.T @ delta
+            np.matmul(delta, mix[k].swapaxes(-1, -2), out=out[k - 1])
+            g = layers_t[k - 1] @ delta
         col = layout.columns[k]
         for i in layout.sources[k]:
             if i:
@@ -285,17 +322,24 @@ def forward(state: TrainState):
     """Run the hidden recurrence; returns (output, trace) with output = h_K."""
     _check_finite_weights(state.weights)
     layout = _layout(state)
-    H, mix = _forward_arrays(state.weights, state.X, layout,
+    H, mix = _forward_arrays(np.asarray(state.weights), state.X, layout,
                              state.nonlinearity == "tanh")
     return H[-1], ForwardTrace(hidden=H, mix_inputs=mix, coeffs=layout.matrix)
+
+
+def _half_squared(r: np.ndarray):
+    """0.5 * ||r||_F^2; for a stacked residual (B, d, n), an array of one
+    value per member, each the same one vdot its solo pass takes."""
+    if r.ndim == 2:
+        return 0.5 * float(np.vdot(r, r))
+    return 0.5 * np.array([np.vdot(m, m) for m in r])
 
 
 def loss(output: np.ndarray, Y: np.ndarray) -> float:
     """Half squared Frobenius residual, 0.5 * ||output - Y||_F^2."""
     if output.shape != Y.shape:
         raise ShapeError(f"loss shape mismatch: {output.shape} vs {Y.shape}")
-    r = output - Y
-    return 0.5 * float(np.vdot(r, r))
+    return _half_squared(output - Y)
 
 
 def backward(state: TrainState, trace: ForwardTrace) -> Gradients:
@@ -310,28 +354,44 @@ def backward(state: TrainState, trace: ForwardTrace) -> Gradients:
     if not np.array_equal(trace.coeffs, layout.matrix):
         raise ValueError("stale trace: coefficient matrix does not match state")
     H = trace.hidden
-    wgrads, cgrads = _gradients(state.weights, H[K] - state.Y, layout,
+    wgrads, cgrads = _gradients(np.asarray(state.weights), H[K] - state.Y, layout,
                                 state.nonlinearity == "tanh", H, trace.mix_inputs)
     return Gradients(weights=wgrads, coeffs=cgrads)
 
 
-def loss_and_gradients(state: TrainState, weights=None, coeffs=None):
+def loss_and_gradients(state: TrainState, weights=None, coeffs=None,
+                       layout: Layout | None = None):
     """One fused forward/backward pass (integrator hot path).
 
     weights (a list or a stacked (K, d, d) array) and coeffs (a raw
     (K+1) x (K+1) coefficient matrix) default to the state's own
     parameters.  Returns (loss, weight gradients as (K, d, d), coefficient
     gradients or None); equivalent to forward + loss + backward.
+
+    For a batch of fixed layouts on the state's X and Y, pass their
+    stack_layouts as `layout` and their weights as (B, K, d, d): the loss is
+    then an array of B values and the weight gradients are (B, K, d, d).
     """
-    if weights is None:
-        weights = state.weights
-    layout = _layout(state, coeffs)
+    weights = np.asarray(state.weights if weights is None else weights)
+    if layout is None:
+        layout = _layout(state, coeffs)
     tanh = state.nonlinearity == "tanh"
     H, mix = _forward_arrays(weights, state.X, layout, tanh)
     r = H[-1] - state.Y
-    value = 0.5 * float(np.vdot(r, r))
     wgrads, cgrads = _gradients(weights, r, layout, tanh, H, mix)
-    return value, wgrads, cgrads
+    return _half_squared(r), wgrads, cgrads
+
+
+def loss_only(state: TrainState, weights=None, coeffs=None,
+              layout: Layout | None = None):
+    """The loss of loss_and_gradients without its gradients (a forward pass
+    and the residual).  Unlike forward(), non-finite weights do not raise:
+    they give a non-finite loss."""
+    weights = np.asarray(state.weights if weights is None else weights)
+    if layout is None:
+        layout = _layout(state, coeffs)
+    H, _ = _forward_arrays(weights, state.X, layout, state.nonlinearity == "tanh")
+    return _half_squared(H[-1] - state.Y)
 
 
 def end_to_end_map(weights, topology: Topology, nonlinearity: str = "none") -> np.ndarray:
@@ -344,5 +404,5 @@ def end_to_end_map(weights, topology: Topology, nonlinearity: str = "none") -> n
         raise ValueError("end_to_end_map is only defined for linear networks")
     _check_finite_weights(weights)
     d = weights[0].shape[0]
-    H, _ = _forward_arrays(weights, np.eye(d), topology.layout, False)
+    H, _ = _forward_arrays(np.asarray(weights), np.eye(d), topology.layout, False)
     return H[-1]

@@ -48,8 +48,11 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b
 
 
-def frobenius_norm(a: np.ndarray) -> float:
-    return float(np.sqrt(np.sum(a * a)))
+def frobenius_norm(a: np.ndarray):
+    """Frobenius norm of a matrix; for a stack of matrices (..., m, n), an
+    array of the norm of each."""
+    norms = np.sqrt(np.sum(a * a, axis=(-2, -1)))
+    return float(norms) if norms.ndim == 0 else norms
 
 
 def spectral_norm(a: np.ndarray) -> float:

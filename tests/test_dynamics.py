@@ -3,7 +3,7 @@ import pytest
 
 from restopo.ancre import AncreParams
 from restopo.dynamics import (RecordOptions, Trajectory, balance_drift, classify_rate,
-                              integrate_gf, run_gd)
+                              integrate_gf, run_gd, train_batch)
 from restopo.network import Topology, TrainState, forward, loss
 from restopo.oracles import ub_witness_init
 from restopo.tensor import make_rng, random_orthogonal_data
@@ -27,7 +27,8 @@ def synthetic_trajectory(times, losses, diverged=False):
     times = np.asarray(times, dtype=float)
     losses = np.asarray(losses, dtype=float)
     return Trajectory(times=times, iters=np.arange(len(times)), losses=losses,
-                      weight_fro_norms=np.zeros((len(times), 1)), diverged=diverged)
+                      weight_fro_norms=np.zeros((len(times), 1)),
+                      stop_reason="loss_blowup" if diverged else "budget")
 
 
 def one_step(state, lr, lr_c=None):
@@ -139,6 +140,53 @@ class TestRunGd:
         traj, _ = run_gd(small_state(seed=9), lr=0.05, iters=200)
         assert np.all(np.diff(traj.times) > 0)
         assert np.all(traj.losses >= 0)
+
+
+def batch_member(w1, w2, topology, X=np.array([[1.0]])):
+    return TrainState(weights=[np.full((1, 1), w1), np.full((1, 1), w2)], X=X,
+                      Y=np.array([[0.5]]), topology=topology)
+
+
+class TestTrainBatch:
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("method", ["gd", "euler", "rk4"])
+    def test_members_match_solo_runs(self, method):
+        members = {
+            "budget": batch_member(0.1, 0.1, Topology.cascaded(2)),
+            "loss_blowup": batch_member(30.0, 30.0, Topology.none(2)),
+            "floor": batch_member(0.0, 0.5, Topology.single(0, 1, 2)),
+            # the non-finite recipe of test_nonfinite_gradient_freezes_state:
+            # its output overflows, so the loss is not finite
+            "overflow": batch_member(1e200, 1e200, Topology.none(2)),
+            # a loss of 5e7 whose dL/dW2 = r h1 = 1e4 * 1e305 overflows
+            "nonfinite_grad": batch_member(1e305, 1e-301, Topology.single(0, 2, 2)),
+        }
+        options = RecordOptions(record_every=3, stop_below=1e-12)
+        step, n_steps = 0.1, 20
+        batch = train_batch(list(members.values()), method, step, n_steps, options=options)
+        for (kind, st), (traj, final) in zip(members.items(), batch):
+            if method == "gd":
+                solo, solo_final = run_gd(st, step, n_steps, options=options)
+            else:
+                solo, solo_final = integrate_gf(st, step, step * n_steps, method, options)
+            assert traj.stop_reason == ("loss_blowup" if kind == "overflow" else kind)
+            assert traj.stop_reason == solo.stop_reason
+            assert traj.steps == solo.steps
+            assert traj.diverged == solo.diverged
+            np.testing.assert_array_equal(traj.iters, solo.iters)
+            np.testing.assert_array_equal(traj.losses, solo.losses)
+            np.testing.assert_array_equal(traj.weight_fro_norms, solo.weight_fro_norms)
+            for a, b in zip(final.weights, solo_final.weights):
+                np.testing.assert_array_equal(a, b)
+        assert batch[0][0].steps == n_steps and batch[0][0].iters[-1] == n_steps
+
+        other_X = batch_member(0.1, 0.1, Topology.none(2), X=np.array([[2.0]]))
+        deeper = TrainState(weights=[np.eye(1)] * 3, X=np.array([[1.0]]),
+                            Y=np.array([[0.5]]), topology=Topology.none(3))
+        for stranger in (other_X, deeper):
+            with pytest.raises(ValueError):
+                train_batch([members["budget"], stranger], method, step, n_steps)
 
 
 class TestIntegrateGf:

@@ -53,6 +53,14 @@ class TestConfig:
         ("custom", "K", 2.5),
         ("custom", "record_every", True),
         ("custom", "trunk", "no"),
+        ("custom", "lr", "0.01"),
+        ("custom", "lr", True),
+        ("custom", "dt", "1e-3"),
+        ("custom", "t_end", "2"),
+        ("custom", "temperature", "0.1"),
+        ("custom", "lam", "0.5"),
+        ("custom", "lr_c", "0.1"),
+        ("custom", "rank_deficiency", 1.5),
     ])
     def test_bad_field_raises_before_any_directory(self, tmp_path, preset, field, value):
         with pytest.raises(ValueError, match=field):

@@ -30,3 +30,15 @@ def test_trace_boundaries_exist(spans):
     fixed = TrainState(weights=weights, X=X, Y=X, topology=Topology.cascaded(3))
     mixing = TrainState(weights=weights, X=X, Y=X, ancre=AncreParams.uniform(3))
     assert 0 < spans.eval_flops(fixed) < spans.eval_flops(mixing)
+
+
+def test_tracer_survives_a_batched_run(spans, tmp_path):
+    # topo-3layer trains its four fixed layouts as one batch; eval_flops
+    # must read the first argument of that batch's evals
+    tracer = spans.Tracer()
+    with tracer.installed(restopo):
+        restopo.experiments.run(restopo.experiments.ExperimentConfig.for_preset(
+            "topo-3layer", iters=4, output_dir=str(tmp_path)))
+    flops = tracer.eval_flops()
+    assert isinstance(flops, int) and flops > 0
+    assert tracer.span_totals()["network.eval"][0] > 0
