@@ -207,7 +207,7 @@ def _parameters(states) -> tuple[np.ndarray, np.ndarray | None]:
 
 def _with_parameters(state: TrainState, weights: np.ndarray,
                      coeffs: np.ndarray | None) -> TrainState:
-    return replace(state, weights=list(weights),
+    return replace(state, weights=weights,
                    ancre=None if coeffs is None else state.ancre.with_coeffs(coeffs))
 
 
@@ -314,6 +314,20 @@ def _check_batch(states) -> None:
         raise ValueError("learned (ANCRe) layouts train one per batch")
 
 
+def _check_schedule(step_name: str, step: float, steps_name: str, n_steps: int,
+                    lr_c: float | None) -> None:
+    """Reject a bad step size, step count or coefficient rate before the
+    first step."""
+    if not 0 < step < np.inf:
+        raise ValueError(f"{step_name} must be positive and finite, got {step}")
+    if isinstance(n_steps, bool) or not isinstance(n_steps, int):
+        raise ValueError(f"{steps_name} must be an int, got {n_steps!r}")
+    if n_steps < 0:
+        raise ValueError(f"{steps_name} must be >= 0")
+    if lr_c is not None and not 0 <= lr_c < np.inf:
+        raise ValueError(f"lr_c must be None or >= 0 and finite, got {lr_c!r}")
+
+
 def _drive(states, method: str, step: float, n_steps: int, lr_c: float | None,
            options: RecordOptions | None) -> list[tuple[Trajectory, TrainState]]:
     options = options or RecordOptions()
@@ -337,10 +351,7 @@ def train_batch(states, method: str, step: float, n_steps: int, lr_c: float | No
     (ANCRe) layouts train one per batch."""
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
-    if not step > 0:
-        raise ValueError(f"step must be positive, got {step}")
-    if n_steps < 0:
-        raise ValueError("n_steps must be >= 0")
+    _check_schedule("step", step, "n_steps", n_steps, lr_c)
     _check_batch(states)
     return _drive(states, method, step, n_steps, lr_c, options)
 
@@ -352,10 +363,7 @@ def run_gd(state: TrainState, lr: float, iters: int, lr_c: float | None = None,
     trajectory's time axis is iter * lr.  A loss blow-up or a non-finite
     gradient stops the run with `diverged` set, before the step it would
     have taken."""
-    if not lr > 0:
-        raise ValueError(f"lr must be positive, got {lr}")
-    if iters < 0:
-        raise ValueError("iters must be >= 0")
+    _check_schedule("lr", lr, "iters", iters, lr_c)
     return _drive([state], "gd", lr, iters, lr_c, options)[0]
 
 
@@ -364,10 +372,10 @@ def integrate_gf(state: TrainState, dt: float, t_end: float, method: str = "eule
     """Integrate the gradient-flow ODE dtheta/dt = -grad L over all
     parameters (weights and, in mixing mode, raw coefficients) for
     round(t_end / dt) steps."""
-    if not dt > 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if t_end < 0:
-        raise ValueError("t_end must be >= 0")
+    if not 0 < dt < np.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
+    if not 0 <= t_end < np.inf:
+        raise ValueError(f"t_end must be >= 0 and finite, got {t_end}")
     if t_end > 0 and dt > t_end:
         raise ValueError(f"dt={dt} exceeds t_end={t_end}")
     if method not in ("euler", "rk4"):

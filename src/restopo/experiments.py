@@ -6,8 +6,8 @@ A run executes one preset (or a custom configuration) and persists, under
     config.json             the exact configuration echo
     trajectory_<curve>.csv  one loss/norm trajectory per trained curve
     heatmap.csv             learned-coefficient heatmap (mixing presets)
-    record.json             verdicts, thresholds, steps and stop reasons,
-                            invariant checks, paths
+    record.json             verdicts (or why one is missing), thresholds,
+                            steps and stop reasons, invariant checks, paths
 
 The fixed layouts a preset trains on one instance are trained as one batch
 (dynamics.train_batch); each curve's records equal those of a solo run.
@@ -203,9 +203,6 @@ class Instance:
             h.update(arr.tobytes())
         return h.hexdigest()[:16]
 
-    def fresh_weights(self) -> list:
-        return [w.copy() for w in self.weights]
-
 
 def _symmetric_from_spectrum(R: np.ndarray, diag: np.ndarray) -> np.ndarray:
     return (R * diag) @ R.T
@@ -278,13 +275,14 @@ def iterations_to(traj: Trajectory, threshold: float) -> float:
     return float(traj.iters[hit[0]]) if hit.size else float("inf")
 
 
-def _verdict_dict(traj: Trajectory) -> dict | None:
+def _verdict(traj: Trajectory) -> tuple[dict | None, str | None]:
+    """(verdict, None), or (None, the reason) when classify_rate gives none."""
     try:
         v = classify_rate(traj)
-    except ValueError:
-        return None
+    except ValueError as exc:
+        return None, str(exc)
     return {"kind": v.kind, "rate_or_power": v.rate_or_power,
-            "fit_quality": v.fit_quality, "note": v.note}
+            "fit_quality": v.fit_quality, "note": v.note}, None
 
 
 def _train(cfg: ExperimentConfig, states: list, options: RecordOptions) -> list:
@@ -317,9 +315,11 @@ def _curve(cfg: ExperimentConfig, record: dict, files: dict, curves: list,
     for (name, _), (traj, _) in zip(curves, results):
         csv_name = "trajectory_" + name.replace(":", "-") + ".csv"
         files[csv_name] = traj.to_csv(extra=extra(traj.times) if extra else None)
+        verdict, verdict_error = _verdict(traj)
         record["curves"][name] = {
             "trajectory_csv": csv_name,
-            "verdict": _verdict_dict(traj),
+            "verdict": verdict,
+            "verdict_error": verdict_error,
             "iterations_to": {key: iterations_to(traj, thr)
                               for key, thr in zip(THRESHOLD_KEYS, THRESHOLDS)},
             "final_loss": float(traj.losses[-1]),
@@ -377,7 +377,7 @@ _FIGURES = {
 
 
 def _fixed_state(cfg: ExperimentConfig, inst: Instance, topology: Topology) -> TrainState:
-    return TrainState(weights=inst.fresh_weights(), X=inst.X, Y=inst.Y,
+    return TrainState(weights=inst.weights, X=inst.X, Y=inst.Y,
                       topology=topology, nonlinearity=cfg.nonlinearity)
 
 
@@ -399,7 +399,7 @@ def _run_figure(cfg: ExperimentConfig, record: dict, files: dict) -> np.ndarray 
         return None
     params = AncreParams.uniform(K, mode=cfg.ancre_mode or "ingoing",
                                  temperature=cfg.temperature)
-    state = TrainState(weights=inst.fresh_weights(), X=inst.X, Y=inst.Y, ancre=params,
+    state = TrainState(weights=inst.weights, X=inst.X, Y=inst.Y, ancre=params,
                        nonlinearity=cfg.nonlinearity, trunk=cfg.trunk)
     [(_, final)] = _curve(cfg, record, files, [("ancre", state)])
     if final.ancre.mode != "ingoing":

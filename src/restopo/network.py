@@ -14,6 +14,13 @@ So the single shortcut 0:2 on a 3-layer net realizes W3 (W2 W1 + I) X and
 the cascaded layout realizes prod_k (W_k + I) X.  The sum runs only over
 the nonzero entries of each column, resolved once per fixed layout.
 
+A network is evaluated one way: loss_and_gradients runs the recurrence
+and its reverse pass together and returns the loss 0.5 ||h_K - Y||_F^2
+with exact gradients for every weight and, in mixing mode, every raw
+coefficient.  loss_only is its forward half; forward returns h_K alone
+(with X = I, the end-to-end map of a linear network).  A TrainState holds
+its weights as one float64 (K, d, d) array of its own.
+
 The recurrence also takes a leading curve axis: weights stacked as
 (B, K, d, d) under a stacked layout of B fixed layouts (stack_layouts)
 train B curves on one X and Y in one pass.  Each member's arithmetic is
@@ -35,13 +42,10 @@ __all__ = [
     "Topology",
     "Layout",
     "TrainState",
-    "ForwardTrace",
-    "Gradients",
     "forward",
-    "backward",
-    "loss",
+    "loss_and_gradients",
+    "loss_only",
     "stack_layouts",
-    "end_to_end_map",
 ]
 
 
@@ -128,36 +132,22 @@ def stack_layouts(layouts) -> Layout:
     return Layout(matrix, sources, columns)
 
 
-@dataclass
-class ForwardTrace:
-    """Cached values from a forward pass, consumed by backward().
-
-    hidden stacks h_0 ... h_K as a (K+1, d, n) array with h_0 = X;
-    mix_inputs holds the shortcut sums s_1 ... s_K that feed the layer maps
-    when the trunk is off (else None); coeffs is the coefficient matrix used.
-    """
-
-    hidden: np.ndarray
-    mix_inputs: list | None = None
-    coeffs: np.ndarray | None = None
-
-
-@dataclass
-class Gradients:
-    weights: np.ndarray
-    coeffs: np.ndarray | None = None
-
-
-@dataclass
+@dataclass(frozen=True)
 class TrainState:
     """Weights, layout source (fixed topology XOR learnable mixing), and data.
 
     trunk applies to mixing mode only: with trunk on, layer k computes
     W_k h_{k-1} plus the convex shortcut mixture; with trunk off, the
     mixture itself is the layer input, h_k = act(W_k sum_i p_ik h_i).
+
+    weights may be given as any sequence of K d x d matrices; the state
+    stores a float64 (K, d, d) copy, so it never shares them with the
+    caller.  The fields cannot be reassigned, so that holds for the
+    state's life; the arrays are updated in place or replaced through
+    dataclasses.replace.
     """
 
-    weights: list
+    weights: np.ndarray
     X: np.ndarray
     Y: np.ndarray
     topology: Topology | None = None
@@ -180,6 +170,7 @@ class TrainState:
         for k, w in enumerate(self.weights, start=1):
             if w.shape != (d, d):
                 raise ShapeError(f"layer {k}: expected shape {(d, d)}, got {w.shape}")
+        object.__setattr__(self, "weights", np.array(self.weights, dtype=np.float64))
         if self.X.ndim != 2 or self.X.shape[0] != d:
             raise ShapeError(f"X must be {d} x n, got {self.X.shape}")
         if self.Y.shape != self.X.shape:
@@ -194,14 +185,9 @@ class TrainState:
         return self.weights[0].shape[0]
 
     def copy(self) -> "TrainState":
-        # AncreParams holds a read-only matrix, so it is shared, not copied.
-        return replace(self, weights=[w.copy() for w in self.weights])
-
-
-def _check_finite_weights(weights) -> None:
-    for k, w in enumerate(weights, start=1):
-        if not np.all(np.isfinite(w)):
-            raise ValueError(f"layer {k}: weight entries must be finite")
+        # __post_init__ copies the weights; AncreParams holds a read-only
+        # matrix, so it is shared, not copied.
+        return replace(self)
 
 
 def _layout(state: TrainState, coeffs: np.ndarray | None = None) -> Layout:
@@ -310,21 +296,15 @@ def _p_gradients(H: np.ndarray, G: list) -> np.ndarray:
     return q
 
 
-def _gradients(weights, residual, layout: Layout, tanh: bool, H, mix):
-    """(weight gradients, raw-coefficient gradients or None for fixed layouts)."""
-    wgrads, G = _backward_arrays(weights, residual, layout, tanh, H, mix)
-    if layout.params is None:
-        return wgrads, None
-    return wgrads, coeff_gradients(layout.params, layout.matrix, _p_gradients(H, G))
-
-
-def forward(state: TrainState):
-    """Run the hidden recurrence; returns (output, trace) with output = h_K."""
-    _check_finite_weights(state.weights)
-    layout = _layout(state)
-    H, mix = _forward_arrays(np.asarray(state.weights), state.X, layout,
-                             state.nonlinearity == "tanh")
-    return H[-1], ForwardTrace(hidden=H, mix_inputs=mix, coeffs=layout.matrix)
+def forward(state: TrainState) -> np.ndarray:
+    """The network output h_K.  Raises ValueError, naming the layer, if a
+    weight entry is not finite."""
+    for k, w in enumerate(state.weights, start=1):
+        if not np.all(np.isfinite(w)):
+            raise ValueError(f"layer {k}: weight entries must be finite")
+    H, _ = _forward_arrays(state.weights, state.X, _layout(state),
+                           state.nonlinearity == "tanh")
+    return H[-1]
 
 
 def _half_squared(r: np.ndarray):
@@ -335,50 +315,30 @@ def _half_squared(r: np.ndarray):
     return 0.5 * np.array([np.vdot(m, m) for m in r])
 
 
-def loss(output: np.ndarray, Y: np.ndarray) -> float:
-    """Half squared Frobenius residual, 0.5 * ||output - Y||_F^2."""
-    if output.shape != Y.shape:
-        raise ShapeError(f"loss shape mismatch: {output.shape} vs {Y.shape}")
-    return _half_squared(output - Y)
-
-
-def backward(state: TrainState, trace: ForwardTrace) -> Gradients:
-    """Exact gradients of loss(forward(state), state.Y) w.r.t. every weight
-    and, in mixing mode, every raw coefficient (through the softmax Jacobian)."""
-    K = state.K
-    if len(trace.hidden) != K + 1:
-        raise ValueError(f"stale trace: {len(trace.hidden) - 1} layers cached, state has {K}")
-    if trace.hidden[0].shape != state.X.shape or not np.array_equal(trace.hidden[0], state.X):
-        raise ValueError("stale trace: cached input does not match state.X")
-    layout = _layout(state)
-    if not np.array_equal(trace.coeffs, layout.matrix):
-        raise ValueError("stale trace: coefficient matrix does not match state")
-    H = trace.hidden
-    wgrads, cgrads = _gradients(np.asarray(state.weights), H[K] - state.Y, layout,
-                                state.nonlinearity == "tanh", H, trace.mix_inputs)
-    return Gradients(weights=wgrads, coeffs=cgrads)
-
-
 def loss_and_gradients(state: TrainState, weights=None, coeffs=None,
                        layout: Layout | None = None):
-    """One fused forward/backward pass (integrator hot path).
+    """The loss 0.5 * ||h_K - Y||_F^2 and its exact gradients, from one
+    forward and one reverse pass.
 
-    weights (a list or a stacked (K, d, d) array) and coeffs (a raw
-    (K+1) x (K+1) coefficient matrix) default to the state's own
-    parameters.  Returns (loss, weight gradients as (K, d, d), coefficient
-    gradients or None); equivalent to forward + loss + backward.
+    weights (a (K, d, d) array) and coeffs (a raw (K+1) x (K+1)
+    coefficient matrix) default to the state's own parameters.  Returns
+    (loss, weight gradients as (K, d, d), raw-coefficient gradients through
+    the softmax Jacobian, or None for a fixed layout).
 
     For a batch of fixed layouts on the state's X and Y, pass their
     stack_layouts as `layout` and their weights as (B, K, d, d): the loss is
     then an array of B values and the weight gradients are (B, K, d, d).
     """
-    weights = np.asarray(state.weights if weights is None else weights)
+    weights = state.weights if weights is None else weights
     if layout is None:
         layout = _layout(state, coeffs)
     tanh = state.nonlinearity == "tanh"
     H, mix = _forward_arrays(weights, state.X, layout, tanh)
     r = H[-1] - state.Y
-    wgrads, cgrads = _gradients(weights, r, layout, tanh, H, mix)
+    wgrads, G = _backward_arrays(weights, r, layout, tanh, H, mix)
+    cgrads = None
+    if layout.params is not None:
+        cgrads = coeff_gradients(layout.params, layout.matrix, _p_gradients(H, G))
     return _half_squared(r), wgrads, cgrads
 
 
@@ -387,22 +347,8 @@ def loss_only(state: TrainState, weights=None, coeffs=None,
     """The loss of loss_and_gradients without its gradients (a forward pass
     and the residual).  Unlike forward(), non-finite weights do not raise:
     they give a non-finite loss."""
-    weights = np.asarray(state.weights if weights is None else weights)
+    weights = state.weights if weights is None else weights
     if layout is None:
         layout = _layout(state, coeffs)
     H, _ = _forward_arrays(weights, state.X, layout, state.nonlinearity == "tanh")
     return _half_squared(H[-1] - state.Y)
-
-
-def end_to_end_map(weights, topology: Topology, nonlinearity: str = "none") -> np.ndarray:
-    """The effective linear operator M with forward output = M @ X.
-
-    Computed by running the forward recurrence on the identity; only
-    meaningful without a nonlinearity.
-    """
-    if nonlinearity != "none":
-        raise ValueError("end_to_end_map is only defined for linear networks")
-    _check_finite_weights(weights)
-    d = weights[0].shape[0]
-    H, _ = _forward_arrays(np.asarray(weights), np.eye(d), topology.layout, False)
-    return H[-1]

@@ -292,8 +292,7 @@ def ub_witness_init(d: int, lam: float, seed: int, max_halvings: int = 60,
     weights = [rng.standard_normal((d, d)) * (0.01 / np.sqrt(d)) for _ in range(3)]
     topo = Topology.single(0, 2, K=3)
     for halvings in range(max_halvings + 1):
-        state = TrainState(weights=[w.copy() for w in weights], X=X, Y=A.copy(),
-                           topology=topo)
+        state = TrainState(weights=weights, X=X, Y=A.copy(), topology=topo)
         L0, _, _ = loss_and_gradients(state)
         thr = delta_threshold(lam, L0)
         if max(np.linalg.norm(w) for w in weights) <= thr.used:

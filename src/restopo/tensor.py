@@ -12,8 +12,6 @@ import numpy as np
 __all__ = [
     "ShapeError",
     "make_rng",
-    "as_matrix",
-    "matmul",
     "frobenius_norm",
     "spectral_norm",
     "random_orthogonal",
@@ -29,23 +27,6 @@ class ShapeError(ValueError):
 def make_rng(seed: int) -> np.random.Generator:
     """Seeded generator backed by the Philox 64-bit counter-based bit stream."""
     return np.random.Generator(np.random.Philox(seed))
-
-
-def as_matrix(data) -> np.ndarray:
-    """Validate and return a 2-D float64 array with all entries finite."""
-    a = np.array(data, dtype=np.float64, order="C")
-    if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
-        raise ShapeError(f"expected a 2-D matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix entries must be finite (no NaN/Inf)")
-    return a
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with an explicit inner-dimension check."""
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul dimension mismatch: {a.shape} @ {b.shape}")
-    return a @ b
 
 
 def frobenius_norm(a: np.ndarray):

@@ -4,7 +4,7 @@ import pytest
 from restopo.ancre import AncreParams
 from restopo.dynamics import (RecordOptions, Trajectory, balance_drift, classify_rate,
                               integrate_gf, run_gd, train_batch)
-from restopo.network import Topology, TrainState, forward, loss
+from restopo.network import Topology, TrainState, forward, loss_only
 from restopo.oracles import ub_witness_init
 from restopo.tensor import make_rng, random_orthogonal_data
 
@@ -39,8 +39,7 @@ def one_step(state, lr, lr_c=None):
 class TestGdStep:
     def test_zero_gradient_is_fixed_point(self):
         st = small_state()
-        out, _ = forward(st)
-        fitted = TrainState(weights=st.weights, X=st.X, Y=out, topology=st.topology)
+        fitted = TrainState(weights=st.weights, X=st.X, Y=forward(st), topology=st.topology)
         nxt = one_step(fitted, lr=0.1)
         for a, b in zip(nxt.weights, fitted.weights):
             np.testing.assert_array_equal(a, b)
@@ -52,10 +51,10 @@ class TestGdStep:
 
     def test_descent_for_small_enough_lr(self):
         st = small_state(seed=3)
-        base = loss(forward(st)[0], st.Y)
+        base = loss_only(st)
         lr = 0.25
         for _ in range(20):
-            if loss(forward(one_step(st, lr))[0], st.Y) < base:
+            if loss_only(one_step(st, lr)) < base:
                 break
             lr *= 0.5
         else:
@@ -141,6 +140,17 @@ class TestRunGd:
         assert np.all(np.diff(traj.times) > 0)
         assert np.all(traj.losses >= 0)
 
+    @pytest.mark.parametrize("bad,match", [
+        (dict(lr_c=-1.0), "lr_c"),           # would ascend on the coefficients
+        (dict(lr_c=float("nan")), "lr_c"),
+        (dict(iters=2.5), "iters"),
+        (dict(iters=True), "iters"),
+        (dict(lr=float("inf")), "lr"),
+    ], ids=["negative_lr_c", "nan_lr_c", "float_iters", "bool_iters", "infinite_lr"])
+    def test_rejects_bad_arguments_before_the_first_step(self, bad, match):
+        with pytest.raises(ValueError, match=match):
+            run_gd(ancre_state(), **(dict(lr=0.05, iters=3) | bad))
+
 
 def batch_member(w1, w2, topology, X=np.array([[1.0]])):
     return TrainState(weights=[np.full((1, 1), w1), np.full((1, 1), w2)], X=X,
@@ -188,6 +198,17 @@ class TestTrainBatch:
             with pytest.raises(ValueError):
                 train_batch([members["budget"], stranger], method, step, n_steps)
 
+    @pytest.mark.parametrize("bad,match", [
+        (dict(lr_c=-1.0), "lr_c"),
+        (dict(lr_c=float("nan")), "lr_c"),
+        (dict(n_steps=2.5), "n_steps"),
+        (dict(n_steps=True), "n_steps"),
+        (dict(step=float("inf")), "step"),
+    ], ids=["negative_lr_c", "nan_lr_c", "float_n_steps", "bool_n_steps", "infinite_step"])
+    def test_rejects_bad_arguments_before_the_first_step(self, bad, match):
+        with pytest.raises(ValueError, match=match):
+            train_batch([ancre_state()], **(dict(method="gd", step=0.05, n_steps=3) | bad))
+
 
 class TestIntegrateGf:
     def test_t_end_zero_single_point(self):
@@ -225,6 +246,9 @@ class TestIntegrateGf:
             integrate_gf(small_state(), dt=2.0, t_end=1.0)
         with pytest.raises(ValueError):
             integrate_gf(small_state(), dt=0.1, t_end=1.0, method="heun")
+        for t_end in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="t_end"):
+                integrate_gf(small_state(), dt=0.1, t_end=t_end)
 
     def test_mixing_coefficients_are_integrated(self):
         st = TrainState(weights=[np.eye(2) * 0.3, np.eye(2) * 0.3],

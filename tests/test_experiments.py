@@ -110,6 +110,18 @@ class TestRun:
         for curve in rec["curves"].values():
             assert curve["records"] == 1
             assert curve["verdict"]["kind"] == "stalled"
+            assert curve["verdict_error"] is None
+
+    def test_missing_verdict_carries_its_reason(self, tmp_path):
+        # 21 records leave a tail window of 6 after the first 10: too few to fit
+        cfg = ExperimentConfig.for_preset("custom", topology="0:2", d=4, n=4, iters=40,
+                                          record_every=2, output_dir=str(tmp_path))
+        rec = run(cfg)
+        curve = rec["curves"]["0:2"]
+        assert curve["verdict"] is None
+        assert curve["verdict_error"] == "tail window has 6 points; need >= 20"
+        saved = load_record(str(tmp_path / "custom_1" / "record.json"))
+        assert saved["curves"]["0:2"]["verdict_error"] == curve["verdict_error"]
 
     def test_run_directory_layout(self, tmp_path):
         cfg = ExperimentConfig.for_preset("topo-3layer", seed=2, iters=300,

@@ -1,9 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from restopo.ancre import AncreParams, candidate_pairs
-from restopo.network import (ForwardTrace, Topology, TrainState, backward,
-                             end_to_end_map, forward, loss, loss_and_gradients)
+from restopo.network import Topology, TrainState, forward, loss_and_gradients
 from restopo.oracles import fd_gradient, pack_state
 from restopo.tensor import ShapeError, make_rng, random_orthogonal_data
 
@@ -36,27 +37,26 @@ class TestTopology:
 class TestForward:
     def test_shortcut_0_1_factorization(self):
         st = make_state(topology=Topology.single(0, 1, 3))
-        out, _ = forward(st)
+        out = forward(st)
         W1, W2, W3 = st.weights
         want = W3 @ W2 @ (W1 + np.eye(st.d)) @ st.X
         np.testing.assert_allclose(out, want, atol=1e-13)
 
     def test_shortcut_0_2_factorization(self):
         st = make_state(topology=Topology.single(0, 2, 3))
-        out, _ = forward(st)
+        out = forward(st)
         W1, W2, W3 = st.weights
         want = W3 @ (W2 @ W1 + np.eye(st.d)) @ st.X
         np.testing.assert_allclose(out, want, atol=1e-13)
 
     def test_zero_weights_passthrough(self):
         st = make_state(topology=Topology.single(0, 3, 3))
-        st.weights = [np.zeros((st.d, st.d)) for _ in range(3)]
-        out, _ = forward(st)
-        np.testing.assert_array_equal(out, st.X)
+        st.weights[:] = 0.0
+        np.testing.assert_array_equal(forward(st), st.X)
 
     def test_cascaded_product_form(self):
         st = make_state(topology=Topology.cascaded(3))
-        out, _ = forward(st)
+        out = forward(st)
         I = np.eye(st.d)
         W1, W2, W3 = st.weights
         want = (W3 + I) @ (W2 + I) @ (W1 + I) @ st.X
@@ -65,24 +65,23 @@ class TestForward:
     def test_linearity_in_input(self):
         for topo in (Topology.none(3), Topology.cascaded(3), Topology.single(0, 2, 3)):
             st = make_state(topology=topo)
-            out1, _ = forward(st)
+            out1 = forward(st)
             st2 = TrainState(weights=st.weights, X=2.5 * st.X, Y=st.Y, topology=topo)
-            out2, _ = forward(st2)
+            out2 = forward(st2)
             np.testing.assert_allclose(out2, 2.5 * out1, atol=1e-12)
-
-    def test_trace_contents(self):
-        st = make_state(K=2, topology=Topology.cascaded(2))
-        _, trace = forward(st)
-        assert len(trace.hidden) == 3
-        np.testing.assert_array_equal(trace.hidden[0], st.X)
-        assert trace.mix_inputs is None
-        np.testing.assert_array_equal(trace.coeffs, [[0, 1, 0], [0, 0, 1], [0, 0, 0]])
 
     def test_rejects_nonfinite_weights(self):
         st = make_state()
         st.weights[1][0, 0] = np.nan
         with pytest.raises(ValueError, match="layer 2"):
             forward(st)
+
+
+def end_to_end_map(weights, topology: Topology) -> np.ndarray:
+    """The linear operator M with forward output M @ X: forward on X = I."""
+    d = weights[0].shape[0]
+    return forward(TrainState(weights=weights, X=np.eye(d), Y=np.zeros((d, d)),
+                              topology=topology))
 
 
 class TestEndToEndMap:
@@ -105,19 +104,21 @@ class TestEndToEndMap:
     def test_consistent_with_forward(self):
         st = make_state(topology=Topology(K=4, shortcuts=frozenset({(0, 2), (1, 4)})),
                         K=4)
-        out, _ = forward(st)
         m = end_to_end_map(st.weights, st.topology)
-        np.testing.assert_allclose(m @ st.X, out, atol=1e-12)
+        np.testing.assert_allclose(m @ st.X, forward(st), atol=1e-12)
 
-    def test_rejects_tanh(self):
-        st = make_state()
-        with pytest.raises(ValueError, match="linear"):
-            end_to_end_map(st.weights, Topology.none(3), nonlinearity="tanh")
+
+def loss(out: np.ndarray, Y: np.ndarray) -> float:
+    """The loss of a one-layer plain network on X = I, whose output is its
+    weight `out`."""
+    d = out.shape[0]
+    state = TrainState(weights=[out], X=np.eye(d), Y=Y, topology=Topology.none(1))
+    return loss_and_gradients(state)[0]
 
 
 class TestLoss:
     def test_zero_residual(self):
-        y = make_rng(2).standard_normal((3, 4))
+        y = make_rng(2).standard_normal((3, 3))
         assert loss(y, y) == 0.0
 
     def test_hand_value(self):
@@ -126,7 +127,7 @@ class TestLoss:
 
     def test_quadratic_homogeneity(self):
         rng = make_rng(3)
-        out, y = rng.standard_normal((2, 5)), rng.standard_normal((2, 5))
+        out, y = rng.standard_normal((3, 3)), rng.standard_normal((3, 3))
         base = loss(out, y)
         assert loss(y + 2.0 * (out - y), y) == pytest.approx(4.0 * base, rel=1e-12)
 
@@ -136,57 +137,43 @@ class TestLoss:
 
 
 class TestBackward:
+    """The reverse pass of loss_and_gradients against closed forms."""
+
     def test_gradients_match_closed_form_0_1(self):
         st = make_state(topology=Topology.single(0, 1, 3), n=4)
         # with whitened X the gradients take the three-factor closed forms
         st = TrainState(weights=st.weights, X=np.eye(st.d),
                         Y=make_rng(5).standard_normal((st.d, st.d)),
                         topology=st.topology)
-        out, trace = forward(st)
-        grads = backward(st, trace)
+        value, wgrads, cgrads = loss_and_gradients(st)
         W1, W2, W3 = st.weights
         I = np.eye(st.d)
-        E = out - st.Y
-        np.testing.assert_allclose(grads.weights[0], W2.T @ W3.T @ E, atol=1e-12)
-        np.testing.assert_allclose(grads.weights[1], W3.T @ E @ (W1.T + I), atol=1e-12)
-        np.testing.assert_allclose(grads.weights[2], E @ (W1.T + I) @ W2.T, atol=1e-12)
+        E = forward(st) - st.Y
+        assert value == 0.5 * float(np.vdot(E, E))
+        assert cgrads is None
+        np.testing.assert_allclose(wgrads[0], W2.T @ W3.T @ E, atol=1e-12)
+        np.testing.assert_allclose(wgrads[1], W3.T @ E @ (W1.T + I), atol=1e-12)
+        np.testing.assert_allclose(wgrads[2], E @ (W1.T + I) @ W2.T, atol=1e-12)
 
     def test_gradients_match_closed_form_0_2(self):
         st = make_state(topology=Topology.single(0, 2, 3))
         st = TrainState(weights=st.weights, X=np.eye(st.d),
                         Y=make_rng(6).standard_normal((st.d, st.d)),
                         topology=st.topology)
-        out, trace = forward(st)
-        grads = backward(st, trace)
+        _, wgrads, _ = loss_and_gradients(st)
         W1, W2, W3 = st.weights
         I = np.eye(st.d)
-        E = out - st.Y
-        np.testing.assert_allclose(grads.weights[0], W2.T @ W3.T @ E, atol=1e-12)
-        np.testing.assert_allclose(grads.weights[1], W3.T @ E @ W1.T, atol=1e-12)
-        np.testing.assert_allclose(grads.weights[2], E @ (W2 @ W1 + I).T, atol=1e-12)
+        E = forward(st) - st.Y
+        np.testing.assert_allclose(wgrads[0], W2.T @ W3.T @ E, atol=1e-12)
+        np.testing.assert_allclose(wgrads[1], W3.T @ E @ W1.T, atol=1e-12)
+        np.testing.assert_allclose(wgrads[2], E @ (W2 @ W1 + I).T, atol=1e-12)
 
     def test_zero_residual_means_zero_gradients(self):
         st = make_state(topology=Topology.cascaded(3))
-        out, trace = forward(st)
-        st_fit = TrainState(weights=st.weights, X=st.X, Y=out, topology=st.topology)
-        grads = backward(st_fit, forward(st_fit)[1])
-        for g in grads.weights:
-            np.testing.assert_allclose(g, 0.0, atol=1e-14)
-
-    def test_stale_trace_rejected(self):
-        st = make_state(topology=Topology.none(3))
-        _, trace = forward(st)
-        other = make_state(topology=Topology.none(3), seed=99)
-        with pytest.raises(ValueError, match="stale trace"):
-            backward(other, trace)
-
-    def test_mode_mismatch_rejected(self):
-        st = make_state(topology=Topology.none(2), K=2)
-        _, trace = forward(st)
-        st2 = TrainState(weights=st.weights, X=st.X, Y=st.Y,
-                         ancre=AncreParams.uniform(2))
-        with pytest.raises(ValueError, match="stale trace"):
-            backward(st2, trace)
+        st_fit = TrainState(weights=st.weights, X=st.X, Y=forward(st), topology=st.topology)
+        value, wgrads, _ = loss_and_gradients(st_fit)
+        assert value == 0.0
+        np.testing.assert_array_equal(wgrads, 0.0)
 
 
 class TestFiniteDifferenceAgreement:
@@ -236,14 +223,12 @@ class TestMixingForward:
         st_fixed = make_state(K=K, topology=Topology.cascaded(K), seed=8)
         st_mix = TrainState(weights=st_fixed.weights, X=st_fixed.X, Y=st_fixed.Y,
                             ancre=params)
-        out_fixed, _ = forward(st_fixed)
-        out_mix, _ = forward(st_mix)
-        np.testing.assert_allclose(out_mix, out_fixed, atol=1e-10)
+        np.testing.assert_allclose(forward(st_mix), forward(st_fixed), atol=1e-10)
 
     def test_uniform_rows_average_sources(self):
         params = AncreParams.uniform(2)
         st = make_state(K=2, ancre=params, seed=12)
-        out, _ = forward(st)
+        out = forward(st)
         W1, W2 = st.weights
         h1 = W1 @ st.X + st.X
         want = W2 @ h1 + 0.5 * st.X + 0.5 * h1
@@ -252,23 +237,22 @@ class TestMixingForward:
     def test_trunk_off_routes_through_mixture(self):
         params = AncreParams.uniform(2)
         st = make_state(K=2, ancre=params, trunk=False, seed=13)
-        out, trace = forward(st)
         W1, W2 = st.weights
         h1 = W1 @ st.X
         want = W2 @ (0.5 * st.X + 0.5 * h1)
-        np.testing.assert_allclose(out, want, atol=1e-13)
-        assert trace.mix_inputs is not None
+        np.testing.assert_allclose(forward(st), want, atol=1e-13)
 
-    def test_loss_and_gradients_matches_forward_backward(self):
+    def test_loss_matches_forward_and_overrides_match_state(self):
         params = AncreParams.uniform(3)
         st = make_state(K=3, ancre=params, seed=21)
-        out, trace = forward(st)
-        grads = backward(st, trace)
         value, wgrads, cgrads = loss_and_gradients(st)
-        assert value == pytest.approx(loss(out, st.Y), rel=1e-15)
-        for a, b in zip(grads.weights, wgrads):
-            np.testing.assert_array_equal(a, b)
-        np.testing.assert_array_equal(grads.coeffs, cgrads)
+        r = forward(st) - st.Y
+        assert value == pytest.approx(0.5 * float(np.vdot(r, r)), rel=1e-15)
+        # the state's own parameters, passed explicitly, give the same pass
+        again = loss_and_gradients(st, st.weights.copy(), st.ancre.c.copy())
+        assert again[0] == value
+        np.testing.assert_array_equal(again[1], wgrads)
+        np.testing.assert_array_equal(again[2], cgrads)
 
 
 class TestTrainStateValidation:
@@ -291,3 +275,15 @@ class TestTrainStateValidation:
         weights[2] = np.zeros((3, 5))
         with pytest.raises(ShapeError, match="layer 3"):
             TrainState(weights=weights, X=st.X, Y=st.Y, topology=Topology.none(3))
+
+    def test_weights_are_a_float64_array_of_the_states_own(self):
+        weights = [np.eye(2, dtype=int), np.eye(2)]
+        st = TrainState(weights=weights, X=np.eye(2), Y=np.eye(2), topology=Topology.none(2))
+        assert isinstance(st.weights, np.ndarray)
+        assert st.weights.dtype == np.float64 and st.weights.shape == (2, 2, 2)
+        weights[1][0, 0] = 5.0
+        twin = st.copy()
+        twin.weights[0, 0, 0] = 7.0
+        np.testing.assert_array_equal(st.weights, [np.eye(2), np.eye(2)])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            st.weights = [np.zeros((2, 2))] * 2

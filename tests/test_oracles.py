@@ -140,7 +140,7 @@ class TestLbWitness:
 
     def test_forward_is_exactly_diagonal(self):
         state, _ = lb_witness_init(d=4, rank_A=2, seed=3)
-        out, _ = forward(state)
+        out = forward(state)
         off = out - np.diag(np.diag(out))
         np.testing.assert_array_equal(off, 0.0)
 
@@ -155,8 +155,8 @@ class TestUbWitness:
         assert max(np.linalg.norm(w) for w in state.weights) <= thr.used
         assert L0 > 0 and halvings >= 0
         # L0 is the loss of the returned state
-        from restopo.network import loss
-        assert loss(forward(state)[0], state.Y) == pytest.approx(L0, rel=1e-12)
+        r = forward(state) - state.Y
+        assert 0.5 * float(np.vdot(r, r)) == pytest.approx(L0, rel=1e-12)
 
     def test_rejects_bad_lambda(self):
         with pytest.raises(ValueError):
