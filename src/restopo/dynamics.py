@@ -13,11 +13,19 @@ leading curve axis and evaluates them in one pass per step.  Each member
 stops on its own (loss blow-up, loss floor, non-finite gradient or step
 budget) and is then frozen, so its trajectory and final state are those
 of a solo run, bit for bit.  run_gd and integrate_gf train one state.
+
+The driver keeps one network Workspace and its update buffers per active
+set, so a step allocates nothing: parameters are updated in place, the
+RK4 stage parameters and the weighted sum of k1..k4 are built in
+preallocated buffers (the workspace holds four gradient slots), and a
+lone member is evaluated without the member axis, as a solo run.
+Evaluations go through this module's loss_and_gradients name, which the
+benchmark's tracer wraps.
 """
 
 from __future__ import annotations
 
-import functools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -27,7 +35,7 @@ from . import tensor
 # tracer (perfbench/spans.py) wraps `dynamics.normalize` by name, and
 # `--trace 1` fails with a KeyError where the name is missing.
 from .ancre import normalize  # noqa: F401
-from .network import TrainState, loss_and_gradients, loss_only, stack_layouts
+from .network import TrainState, Workspace, loss_and_gradients, loss_only, stack_layouts
 
 __all__ = [
     "RecordOptions",
@@ -161,9 +169,11 @@ class _Recorder:
                           diagonals=filled(self.diag), stop_reason=stop_reason, steps=steps)
 
 
-def _finite(wgrads: np.ndarray, cgrads: np.ndarray | None) -> bool:
-    return bool(np.isfinite(wgrads).all()) and (
-        cgrads is None or bool(np.isfinite(cgrads).all()))
+def _finite(grads: np.ndarray | None) -> bool:
+    """A one-dot-product pre-check: true only if every entry is finite.  A
+    sum of squares that is not finite (an entry is not, or the squares
+    overflow) says nothing; _nonfinite_rows then checks each entry."""
+    return grads is None or math.isfinite(np.vdot(grads, grads))
 
 
 def _nonfinite_rows(grads: np.ndarray | None) -> set:
@@ -174,35 +184,59 @@ def _nonfinite_rows(grads: np.ndarray | None) -> set:
                .tolist())
 
 
-def _descend(grad, weights: np.ndarray, coeffs: np.ndarray | None, wgrads: np.ndarray,
-             cgrads: np.ndarray | None, step: float, step_c: float) -> None:
+def _descend(active: _Active, wgrads: np.ndarray, cgrads: np.ndarray | None,
+             step: float, step_c: float) -> None:
     """The GD and Euler update, in place: W <- W - step * grad and, in
     mixing mode, c <- c - step_c * grad_c."""
-    weights -= step * wgrads
-    if coeffs is not None:
-        coeffs -= step_c * cgrads
+    active.weights -= np.multiply(wgrads, step, out=active.acc)
+    if active.coeffs is not None:
+        active.coeffs -= np.multiply(cgrads, step_c, out=active.acc_c)
 
 
-def _shifted(a: np.ndarray | None, scale: float, g: np.ndarray | None) -> np.ndarray | None:
-    return None if a is None else a - scale * g
+def _shifted(out: np.ndarray, a: np.ndarray | None, scale: float,
+             g: np.ndarray) -> np.ndarray | None:
+    """a - scale * g, into out; None where a is."""
+    if a is None:
+        return None
+    return np.subtract(a, np.multiply(g, scale, out=out), out=out)
 
 
-def _rk4(grad, weights: np.ndarray, coeffs: np.ndarray | None, k1w: np.ndarray,
-         k1c: np.ndarray | None, dt: float) -> None:
-    """The classical RK4 update, in place, with stage gradients from grad."""
-    _, k2w, k2c = grad(weights - 0.5 * dt * k1w, _shifted(coeffs, 0.5 * dt, k1c))
-    _, k3w, k3c = grad(weights - 0.5 * dt * k2w, _shifted(coeffs, 0.5 * dt, k2c))
-    _, k4w, k4c = grad(weights - dt * k3w, _shifted(coeffs, dt, k3c))
-    weights -= (dt / 6.0) * (k1w + 2 * k2w + 2 * k3w + k4w)
-    if coeffs is not None:
-        coeffs -= (dt / 6.0) * (k1c + 2 * k2c + 2 * k3c + k4c)
+def _rk4_increment(out: np.ndarray, tmp: np.ndarray, dt: float, k1, k2, k3, k4) -> np.ndarray:
+    """(dt / 6) * (k1 + 2 k2 + 2 k3 + k4), into out, in that expression's
+    operation order; tmp is scratch."""
+    np.multiply(k2, 2, out=out)
+    np.add(k1, out, out=out)
+    out += np.multiply(k3, 2, out=tmp)
+    out += k4
+    return np.multiply(out, dt / 6.0, out=out)
+
+
+def _rk4(active: _Active, k1w: np.ndarray, k1c: np.ndarray | None, dt: float, _) -> None:
+    """The classical RK4 update, in place, with stage gradients evaluated
+    at stage parameters built in the active set's buffers.  Its network
+    workspace holds four gradient slots, so k1 .. k4 stay valid together."""
+    w, c = active.weights, active.coeffs
+    stage_c = None if c is None else active.stage_c
+    _, k2w, k2c = active.grad(_shifted(active.stage, w, 0.5 * dt, k1w),
+                              _shifted(stage_c, c, 0.5 * dt, k1c))
+    _, k3w, k3c = active.grad(_shifted(active.stage, w, 0.5 * dt, k2w),
+                              _shifted(stage_c, c, 0.5 * dt, k2c))
+    _, k4w, k4c = active.grad(_shifted(active.stage, w, dt, k3w),
+                              _shifted(stage_c, c, dt, k3c))
+    w -= _rk4_increment(active.acc, active.stage, dt, k1w, k2w, k3w, k4w)
+    if c is not None:
+        c -= _rk4_increment(active.acc_c, stage_c, dt, k1c, k2c, k3c, k4c)
 
 
 def _parameters(states) -> tuple[np.ndarray, np.ndarray | None]:
-    """Fresh buffers with a leading member axis: the weights as (B, K, d, d)
-    and the raw coefficient matrices (None for fixed layouts)."""
-    return (np.array([s.weights for s in states], dtype=np.float64),
-            None if states[0].ancre is None else np.array([s.ancre.c for s in states]))
+    """Fresh buffers of the weights and the raw coefficient matrices (None
+    for fixed layouts) in the form _Active takes: a lone state's own
+    shapes, or with a leading member axis, (B, K, d, d) and so on."""
+    weights = np.array([s.weights for s in states], dtype=np.float64)
+    coeffs = None if states[0].ancre is None else np.array([s.ancre.c for s in states])
+    if len(states) > 1:
+        return weights, coeffs
+    return weights[0], None if coeffs is None else coeffs[0]
 
 
 def _with_parameters(state: TrainState, weights: np.ndarray,
@@ -211,60 +245,78 @@ def _with_parameters(state: TrainState, weights: np.ndarray,
                    ancre=None if coeffs is None else state.ancre.with_coeffs(coeffs))
 
 
-def _evaluators(states, active: list):
-    """(grad, value) over the stacked parameters of the members `active`:
-    grad(weights, coeffs) -> (losses, weight gradients, coefficient
-    gradients) and value(weights, coeffs) -> losses, one loss per row.
+class _Active:
+    """The members still training, evaluated as one: a lone member without
+    the member axis (so as a solo run), more through the stacked layout of
+    their fixed layouts.  Holds their parameters in that form, updated in
+    place, one network Workspace and the update's buffers; a run builds a
+    new one whenever the active set shrinks."""
 
-    A lone active member is evaluated without the member axis, as a solo
-    run; more go through the stacked layout of the active members."""
-    state = states[active[0]]
-    if len(active) == 1:
-        def grad(weights, coeffs):
-            value, wgrads, cgrads = loss_and_gradients(
-                state, weights[0], None if coeffs is None else coeffs[0])
-            return [value], wgrads[None], None if cgrads is None else cgrads[None]
+    def __init__(self, states, members: list, weights: np.ndarray,
+                 coeffs: np.ndarray | None, slots: int):
+        self.members, self.lone = members, len(members) == 1
+        self.state = state = states[members[0]]
+        self.weights, self.coeffs = weights, coeffs
+        if not self.lone:
+            self.layout = stack_layouts([states[m].topology.layout for m in members])
+        else:
+            # a learned layout is normalized from the coefficients of each call
+            self.layout = None if state.ancre is not None else state.topology.layout
+        self.work = Workspace(state, weights.shape, self.layout, slots)
+        self.stage, self.acc = np.empty_like(weights), np.empty_like(weights)
+        if coeffs is not None:
+            self.stage_c, self.acc_c = np.empty_like(coeffs), np.empty_like(coeffs)
 
-        def value(weights, coeffs):
-            return [loss_only(state, weights[0], None if coeffs is None else coeffs[0])]
-    else:
-        layout = stack_layouts([states[m].topology.layout for m in active])
+    def grad(self, weights: np.ndarray, coeffs: np.ndarray | None):
+        """(losses as a list, weight gradients, coefficient gradients)."""
+        value, wgrads, cgrads = loss_and_gradients(self.state, weights, coeffs,
+                                                   self.layout, self.work)
+        return [value] if self.lone else value.tolist(), wgrads, cgrads
 
-        def grad(weights, coeffs):
-            values, wgrads, _ = loss_and_gradients(state, weights, None, layout)
-            return values.tolist(), wgrads, None
+    def losses(self) -> list:
+        value = loss_only(self.state, self.weights, self.coeffs, self.layout, self.work)
+        return [value] if self.lone else value.tolist()
 
-        def value(weights, coeffs):
-            return loss_only(state, weights, None, layout).tolist()
-    return grad, value
+    def rows(self, a: np.ndarray | None) -> np.ndarray | None:
+        """a with a leading member axis."""
+        return a[None] if self.lone and a is not None else a
+
+    def take(self, a: np.ndarray | None, keep: list) -> np.ndarray | None:
+        """The rows `keep` of a, in a fresh array of the form the next
+        active set takes."""
+        if a is None:
+            return None
+        a = self.rows(a)
+        return a[keep] if len(keep) > 1 else a[keep[0]].copy()
 
 
-def _run(states, n_steps: int, time_scale: float, options: RecordOptions,
-         update) -> list[tuple[Trajectory, TrainState]]:
-    """The one driver, over members stacked along a leading axis.
+def _drive(states, method: str, step: float, n_steps: int, lr_c: float | None,
+           options: RecordOptions | None) -> list[tuple[Trajectory, TrainState]]:
+    """The one driver, over members stacked along a leading axis; the time
+    axis is iteration * step, and lr_c (default step) the GD coefficient
+    rate.
 
     Each step evaluates the active members in one pass, records those due
     (every record_every steps, and at a stop) and stops, each on its own,
     the members whose loss blew up or reached the floor, whose budget is
     spent, or whose gradient is not finite; a stopped member keeps the
-    parameters it stopped with.  The rest take update(grad, weights,
-    coeffs, wgrads, cgrads), in place, where grad evaluates the active
-    members at other parameters (for RK4 stages).  The budget step
-    evaluates the loss alone."""
-    weights, coeffs = _parameters(states)
-    active = list(range(len(states)))           # the member of each row
+    parameters it stopped with.  The rest take the method's update in
+    place.  The budget step evaluates the loss alone."""
+    options = options or RecordOptions()
+    step_c = step if lr_c is None else lr_c
+    update, slots = (_rk4, 4) if method == "rk4" else (_descend, 1)
+    active = _Active(states, list(range(len(states))), *_parameters(states), slots)
     capacity = n_steps // options.record_every + 2
-    recs = [_Recorder(options, time_scale, capacity, s.K, s.d) for s in states]
+    recs = [_Recorder(options, step, capacity, s.K, s.d) for s in states]
     results = [None] * len(states)
-    grad, value = _evaluators(states, active)
     floor, every = options.stop_below, options.record_every
 
     for it in range(n_steps + 1):
         budget = it == n_steps
         if budget:
-            values = value(weights, coeffs)
+            values, wgrads, cgrads = active.losses(), None, None
         else:
-            values, wgrads, cgrads = grad(weights, coeffs)
+            values, wgrads, cgrads = active.grad(active.weights, active.coeffs)
         stops = {}
         for row, v in enumerate(values):
             if not v <= DIVERGENCE_THRESHOLD:
@@ -275,27 +327,29 @@ def _run(states, n_steps: int, time_scale: float, options: RecordOptions,
                 stops[row] = "budget"
         due = budget or it % every == 0
         if due or stops:
-            fro = tensor.frobenius_norm(weights)
-            for row, member in enumerate(active):
+            fro = active.rows(tensor.frobenius_norm(active.weights))
+            for row, (member, w) in enumerate(zip(active.members,
+                                                  active.rows(active.weights))):
                 if due or row in stops:
-                    recs[member].snapshot(it, values[row], weights[row], fro[row])
-        if not budget and not _finite(wgrads, cgrads):
-            for row in _nonfinite_rows(wgrads) | _nonfinite_rows(cgrads):
+                    recs[member].snapshot(it, values[row], w, fro[row])
+        if not (budget or _finite(wgrads) and _finite(cgrads)):
+            for row in (_nonfinite_rows(active.rows(wgrads))
+                        | _nonfinite_rows(active.rows(cgrads))):
                 stops.setdefault(row, "nonfinite_grad")
         if stops:
+            weights, coeffs = active.rows(active.weights), active.rows(active.coeffs)
             for row, reason in stops.items():
-                member = active[row]
+                member = active.members[row]
                 results[member] = (recs[member].build(reason, it), _with_parameters(
                     states[member], weights[row], None if coeffs is None else coeffs[row]))
-            keep = [row for row in range(len(active)) if row not in stops]
+            keep = [row for row in range(len(values)) if row not in stops]
             if not keep:
                 break
-            active = [active[row] for row in keep]
-            weights, wgrads = weights[keep], wgrads[keep]
-            if coeffs is not None:
-                coeffs, cgrads = coeffs[keep], cgrads[keep]
-            grad, value = _evaluators(states, active)
-        update(grad, weights, coeffs, wgrads, cgrads)
+            wgrads, cgrads = active.take(wgrads, keep), active.take(cgrads, keep)
+            active = _Active(states, [active.members[row] for row in keep],
+                             active.take(active.weights, keep),
+                             active.take(active.coeffs, keep), slots)
+        update(active, wgrads, cgrads, step, step_c)
 
     return results
 
@@ -326,16 +380,6 @@ def _check_schedule(step_name: str, step: float, steps_name: str, n_steps: int,
         raise ValueError(f"{steps_name} must be >= 0")
     if lr_c is not None and not 0 <= lr_c < np.inf:
         raise ValueError(f"lr_c must be None or >= 0 and finite, got {lr_c!r}")
-
-
-def _drive(states, method: str, step: float, n_steps: int, lr_c: float | None,
-           options: RecordOptions | None) -> list[tuple[Trajectory, TrainState]]:
-    options = options or RecordOptions()
-    if method == "rk4":
-        update = functools.partial(_rk4, dt=step)
-    else:
-        update = functools.partial(_descend, step=step, step_c=step if lr_c is None else lr_c)
-    return _run(states, n_steps, step, options, update)
 
 
 def train_batch(states, method: str, step: float, n_steps: int, lr_c: float | None = None,

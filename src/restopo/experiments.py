@@ -97,7 +97,7 @@ class ExperimentConfig:
     seed: int = 1
     optimizer: str = "gd"              # gd | gf-euler | gf-rk4
     lr: float = 1e-2
-    lr_c: float | None = None          # defaults to lr
+    lr_c: float | None = None          # gd only; defaults to lr
     dt: float = 1e-3
     t_end: float = 20.0
     iters: int = 30000
@@ -147,6 +147,10 @@ class ExperimentConfig:
                 raise ValueError(f"config field {name!r} must be positive and finite")
         if self.lr_c is not None and not 0 <= self.lr_c < np.inf:
             raise ValueError("config field 'lr_c' must be None or >= 0 and finite")
+        if self.lr_c is not None and self.optimizer != "gd":
+            # gradient flow integrates every parameter at one rate
+            raise ValueError(f"config field 'lr_c' applies to optimizer 'gd' only, "
+                             f"not {self.optimizer!r}")
         if not 0 <= self.t_end < np.inf:
             raise ValueError("config field 't_end' must be >= 0 and finite")
         if self.t_end > 0 and self.dt > self.t_end:

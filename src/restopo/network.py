@@ -21,6 +21,13 @@ coefficient.  loss_only is its forward half; forward returns h_K alone
 (with X = I, the end-to-end map of a linear network).  A TrainState holds
 its weights as one float64 (K, d, d) array of its own.
 
+Both passes run in a Workspace: the hidden states (h_0 = X written once),
+the adjoint stack, the weight-gradient slots, their per-layer views and
+the order of the adjoint writes, resolved once per layout.  A training
+run builds one and passes it to every evaluation, so a small-d step pays
+for its numpy kernels and little else; a call without one builds its own
+and so returns fresh arrays.  It is the same pass either way, bit for bit.
+
 The recurrence also takes a leading curve axis: weights stacked as
 (B, K, d, d) under a stacked layout of B fixed layouts (stack_layouts)
 train B curves on one X and Y in one pass.  Each member's arithmetic is
@@ -42,6 +49,7 @@ __all__ = [
     "Topology",
     "Layout",
     "TrainState",
+    "Workspace",
     "forward",
     "loss_and_gradients",
     "loss_only",
@@ -201,13 +209,28 @@ def _layout(state: TrainState, coeffs: np.ndarray | None = None) -> Layout:
     return Layout(p, _all_sources(params.K), p.T.tolist(), state.trunk, params)
 
 
-def _scaled(c, x: np.ndarray) -> np.ndarray:
-    """c * x; a unit coefficient (every fixed shortcut) skips the multiply.
-    A stacked layout's bool column keeps x for its members and gives the
-    others exact zeros, whatever their own x holds."""
+def _structure(state: TrainState) -> tuple[tuple, bool]:
+    """The sources and trunk of the state's layout, without normalizing
+    learned coefficients."""
+    if state.topology is not None:
+        layout = state.topology.layout
+        return layout.sources, layout.trunk
+    return _all_sources(state.K), state.trunk
+
+
+def _put(dst: np.ndarray, c, x: np.ndarray, tmp: np.ndarray, first: bool) -> None:
+    """dst = c * x if first, else dst += c * x; in place.  A unit
+    coefficient (every fixed shortcut) skips the multiply; a stacked
+    layout's bool column keeps x for its members and gives the others exact
+    zeros, whatever their own x holds."""
     if isinstance(c, np.ndarray):
-        return np.where(c, x, 0.0)
-    return x if c == 1.0 else c * x
+        x = np.where(c, x, 0.0)
+    elif c != 1.0:
+        x = np.multiply(x, c, out=tmp)
+    if first:
+        np.copyto(dst, x)
+    else:
+        dst += x
 
 
 def _by_layer(a: np.ndarray) -> np.ndarray:
@@ -216,82 +239,173 @@ def _by_layer(a: np.ndarray) -> np.ndarray:
     return a if a.ndim == 3 else a.swapaxes(0, 1)
 
 
-def _forward_arrays(weights, X, layout: Layout, tanh: bool):
-    """The hidden recurrence; returns (H, mix) with H the stacked h_0 ... h_K
-    (each with the weights' leading curve axis, if any) and mix the
-    trunk-off layer inputs s_k (None with the trunk on).  weights is an
-    array, (K, d, d) or (B, K, d, d)."""
-    layers = _by_layer(weights)
-    K = len(layers)
-    H = np.empty((K + 1,) + weights.shape[:-3] + X.shape)
-    H[0] = X
-    h = list(H)
-    mix = None if layout.trunk else [None] * (K + 1)
-    for k in range(1, K + 1):
+def _transposed(stack) -> list:
+    return [a.swapaxes(-1, -2) for a in stack]
+
+
+@lru_cache(maxsize=None)
+def _adjoint_schedule(sources: tuple, trunk: bool) -> tuple:
+    """The reverse pass's writes into the adjoint stack, in order: for each
+    layer k = K..1, (k, trunk, feeds) with trunk whether the trunk's
+    contribution to h_{k-1}'s adjoint is its first (None without one) and
+    feeds the pairs (i, first) for the sources i >= 1 of layer k.  A first
+    write sets the adjoint; later ones add to it, in the order listed."""
+    written = set()
+
+    def first(i):
+        new = i not in written
+        written.add(i)
+        return new
+
+    K = len(sources) - 1
+    return tuple((k, first(k - 1) if trunk and k > 1 else None,
+                  tuple((i, first(i)) for i in sources[k] if i))
+                 for k in range(K, 0, -1))
+
+
+class Workspace:
+    """The buffers of repeated evaluations of one state at one parameter
+    shape under one layout structure.
+
+    Built from a state (its X and nonlinearity), the shape of the weights
+    it will be given ((K, d, d), or (B, K, d, d) for a stacked batch) and a
+    layout (default: the state's own), it serves every loss_and_gradients
+    and loss_only call on that state at that shape under a layout with the
+    same sources and trunk (a learned layout's coefficient values may
+    change from call to call); other calls raise ValueError.  It holds the
+    hidden states H with h_0 = X written once, the adjoint stack, the
+    trunk-off mixtures, the per-layer views of these and of the last two
+    weight arrays it was given, the layout's adjoint schedule and `slots`
+    weight-gradient buffers.  Each evaluation writes its weight
+    gradients into the next slot in turn, so a returned gradient stays
+    valid through slots - 1 further evaluations; the hidden states and the
+    adjoints are overwritten by the next one.  The loss and the coefficient
+    gradients are fresh objects.
+    """
+
+    def __init__(self, state: TrainState, shape: tuple, layout: Layout | None = None,
+                 slots: int = 1):
+        K = shape[-3]
+        hidden = (K + 1,) + tuple(shape[:-3]) + state.X.shape
+        if layout is None:
+            self.sources, self.trunk = _structure(state)
+        else:
+            self.sources, self.trunk = layout.sources, layout.trunk
+        self.X, self.shape, self.tanh = state.X, tuple(shape), state.nonlinearity == "tanh"
+        # The pass's matrix products: np.dot's call costs less than
+        # np.matmul's, and a stacked batch needs matmul's broadcasting.  Both
+        # reach the same BLAS product, so a member's bits are its solo pass's.
+        self.mm = np.dot if len(shape) == 3 else np.matmul
+        self.schedule = _adjoint_schedule(self.sources, self.trunk)
+        self.H = np.empty(hidden)
+        self.H[0] = state.X
+        self.h, self.h_t = list(self.H), _transposed(self.H)
+        self.adj = list(np.empty(hidden))
+        self.tmp = np.empty(hidden[1:])
+        # g_k, the adjoint of layer k's source sum, is its delta with the
+        # trunk on and without tanh; else it needs a stack of its own.
+        self.G = self.adj if self.trunk and not self.tanh else list(np.empty(hidden))
+        self.mix = None
+        if not self.trunk:
+            self.mix = list(np.empty(hidden))
+            self.mix_t = _transposed(self.mix)
+            self.delta = np.empty(hidden[1:])
+        self.grads = [np.empty(shape) for _ in range(slots)]
+        self._grad_layers = [list(_by_layer(g)) for g in self.grads]
+        self._slot = 0
+        self._layers = {}
+        self.q = np.zeros((K + 1, K + 1))
+
+    def fits(self, state: TrainState, weights: np.ndarray, layout: Layout) -> bool:
+        """Whether this workspace serves an evaluation of these arguments."""
+        return (state.X is self.X and weights.shape == self.shape
+                and layout.trunk == self.trunk and layout.sources == self.sources
+                and (state.nonlinearity == "tanh") == self.tanh)
+
+    def layers(self, weights: np.ndarray) -> tuple[list, list]:
+        """weights' per-layer views W_k and W_k^T, kept for the last two
+        arrays given (a driver's parameters and its RK4 stage)."""
+        views = self._layers.get(id(weights))
+        if views is None:
+            if len(self._layers) == 2:
+                self._layers.clear()
+            W = list(_by_layer(weights))
+            views = self._layers[id(weights)] = (weights, W, _transposed(W))
+        return views[1], views[2]
+
+    def next_grads(self) -> tuple[np.ndarray, list]:
+        """The weight-gradient slot the next evaluation writes, and its
+        per-layer views."""
+        slot = self._slot
+        self._slot = (slot + 1) % len(self.grads)
+        return self.grads[slot], self._grad_layers[slot]
+
+
+def _forward_arrays(work: Workspace, weights: np.ndarray, layout: Layout) -> None:
+    """The hidden recurrence, into work.h (h_0 = X is already there) and,
+    with the trunk off, the layer inputs s_k into work.mix."""
+    W, _ = work.layers(weights)
+    h, tmp, mm = work.h, work.tmp, work.mm
+    for k in range(1, len(h)):
         z = h[k]
         col = layout.columns[k]
         if layout.trunk:
-            np.matmul(layers[k - 1], h[k - 1], out=z)
+            mm(W[k - 1], h[k - 1], out=z)
             for i in layout.sources[k]:
-                z += _scaled(col[i], h[i])
+                _put(z, col[i], h[i], tmp, False)
         else:
-            s = mix[k] = np.zeros_like(z)
+            s = work.mix[k]
+            s.fill(0.0)
             for i in layout.sources[k]:
-                s += _scaled(col[i], h[i])
-            np.matmul(layers[k - 1], s, out=z)
-        if tanh:
+                _put(s, col[i], h[i], tmp, False)
+            mm(W[k - 1], s, out=z)
+        if work.tanh:
             np.tanh(z, out=z)
-    return H, mix
 
 
-def _backward_arrays(weights, residual, layout: Layout, tanh: bool, H, mix):
-    """Reverse accumulation through the hidden recurrence.
+def _backward_arrays(work: Workspace, weights: np.ndarray, layout: Layout) -> np.ndarray:
+    """Reverse accumulation through the hidden recurrence, from the residual
+    in work.adj[K].
 
     Visits layers K..1, accumulating the adjoint of every h_i (i >= 1) over
-    all of its uses: the next layer's map plus every source entry it feeds.
-    Layer k's source adjoint g_k is what multiplies matrix[i, k] h_i in the
-    loss, so dL/dmatrix[i, k] = <h_i, g_k>.  Returns (weight gradients
-    shaped like the weights, [None, g_1, ..., g_K]).
+    all of its uses, in work.schedule's order: the next layer's map, then
+    every source entry it feeds.  Layer k's source adjoint g_k (work.G[k])
+    is what multiplies matrix[i, k] h_i in the loss, so dL/dmatrix[i, k] =
+    <h_i, g_k>.  Returns the weight gradients, shaped like the weights, in
+    the workspace's next gradient slot.
     """
-    layers_t = _by_layer(weights).swapaxes(-1, -2)
-    K = len(layers_t)
-    h, h_t = list(H), H.swapaxes(-1, -2)
-    adj = [None] * (K + 1)
-    adj[K] = residual
-    wgrads = np.empty(weights.shape)
-    out = _by_layer(wgrads)
-    G = [None] * (K + 1)
-    for k in range(K, 0, -1):
+    _, W_t = work.layers(weights)
+    h, h_t, adj, G, tmp, mm = work.h, work.h_t, work.adj, work.G, work.tmp, work.mm
+    wgrads, out = work.next_grads()
+    for k, trunk_first, feeds in work.schedule:
         delta = adj[k]
-        if tanh:
-            delta = delta * (1.0 - h[k] * h[k])
+        if work.tanh:
+            np.multiply(h[k], h[k], out=tmp)
+            np.subtract(1.0, tmp, out=tmp)
+            delta = np.multiply(delta, tmp, out=G[k] if layout.trunk else work.delta)
         if layout.trunk:
-            np.matmul(delta, h_t[k - 1], out=out[k - 1])
+            mm(delta, h_t[k - 1], out=out[k - 1])
             g = delta
-            if k > 1:
-                _accumulate(adj, k - 1, layers_t[k - 1] @ delta)
+            if trunk_first is not None:
+                if trunk_first:
+                    mm(W_t[k - 1], delta, out=adj[k - 1])
+                else:
+                    adj[k - 1] += mm(W_t[k - 1], delta, out=tmp)
         else:
-            np.matmul(delta, mix[k].swapaxes(-1, -2), out=out[k - 1])
-            g = layers_t[k - 1] @ delta
+            mm(delta, work.mix_t[k], out=out[k - 1])
+            g = mm(W_t[k - 1], delta, out=G[k])
         col = layout.columns[k]
-        for i in layout.sources[k]:
-            if i:
-                _accumulate(adj, i, _scaled(col[i], g))
-        G[k] = g
-    return wgrads, G
+        for i, first in feeds:
+            _put(adj[i], col[i], g, tmp, first)
+    return wgrads
 
 
-def _accumulate(adj: list, i: int, contrib: np.ndarray) -> None:
-    # out of place: contrib may be another layer's adjoint
-    adj[i] = contrib if adj[i] is None else adj[i] + contrib
-
-
-def _p_gradients(H: np.ndarray, G: list) -> np.ndarray:
-    """dL/dP: column k is the stacked h_0 ... h_{k-1} contracted with g_k."""
-    K = len(G) - 1
-    flat = H.reshape(K + 1, -1)
-    q = np.zeros((K + 1, K + 1))
-    for k in range(1, K + 1):
+def _p_gradients(work: Workspace) -> np.ndarray:
+    """dL/dP: column k is the stacked h_0 ... h_{k-1} contracted with g_k.
+    The matrix is the workspace's; only its columns' upper parts change."""
+    q, G = work.q, work.G
+    flat = work.H.reshape(len(G), -1)
+    for k in range(1, len(G)):
         q[:k, k] = flat[:k] @ G[k].ravel()
     return q
 
@@ -302,9 +416,10 @@ def forward(state: TrainState) -> np.ndarray:
     for k, w in enumerate(state.weights, start=1):
         if not np.all(np.isfinite(w)):
             raise ValueError(f"layer {k}: weight entries must be finite")
-    H, _ = _forward_arrays(state.weights, state.X, _layout(state),
-                           state.nonlinearity == "tanh")
-    return H[-1]
+    layout = _layout(state)
+    work = Workspace(state, state.weights.shape, layout)
+    _forward_arrays(work, state.weights, layout)
+    return work.h[-1]
 
 
 def _half_squared(r: np.ndarray):
@@ -315,8 +430,27 @@ def _half_squared(r: np.ndarray):
     return 0.5 * np.array([np.vdot(m, m) for m in r])
 
 
+def _prepare(state, weights, coeffs, layout, work):
+    weights = state.weights if weights is None else weights
+    if layout is None:
+        layout = _layout(state, coeffs)
+    if work is None:
+        work = Workspace(state, weights.shape, layout)
+    elif not work.fits(state, weights, layout):
+        raise ValueError("the workspace was built for another state, parameter "
+                         "shape or layout structure")
+    return weights, layout, work
+
+
+def _residual_loss(state: TrainState, work: Workspace):
+    """The loss of the hidden states in work, leaving the residual h_K - Y
+    in work.adj[K]."""
+    r = np.subtract(work.h[-1], state.Y, out=work.adj[-1])
+    return _half_squared(r)
+
+
 def loss_and_gradients(state: TrainState, weights=None, coeffs=None,
-                       layout: Layout | None = None):
+                       layout: Layout | None = None, work: Workspace | None = None):
     """The loss 0.5 * ||h_K - Y||_F^2 and its exact gradients, from one
     forward and one reverse pass.
 
@@ -328,27 +462,26 @@ def loss_and_gradients(state: TrainState, weights=None, coeffs=None,
     For a batch of fixed layouts on the state's X and Y, pass their
     stack_layouts as `layout` and their weights as (B, K, d, d): the loss is
     then an array of B values and the weight gradients are (B, K, d, d).
+
+    Without `work` the call builds its own Workspace, so every array it
+    returns is fresh.  With one, the pass runs in its buffers and the
+    weight gradients are its next slot (see Workspace).
     """
-    weights = state.weights if weights is None else weights
-    if layout is None:
-        layout = _layout(state, coeffs)
-    tanh = state.nonlinearity == "tanh"
-    H, mix = _forward_arrays(weights, state.X, layout, tanh)
-    r = H[-1] - state.Y
-    wgrads, G = _backward_arrays(weights, r, layout, tanh, H, mix)
+    weights, layout, work = _prepare(state, weights, coeffs, layout, work)
+    _forward_arrays(work, weights, layout)
+    value = _residual_loss(state, work)
+    wgrads = _backward_arrays(work, weights, layout)
     cgrads = None
     if layout.params is not None:
-        cgrads = coeff_gradients(layout.params, layout.matrix, _p_gradients(H, G))
-    return _half_squared(r), wgrads, cgrads
+        cgrads = coeff_gradients(layout.params, layout.matrix, _p_gradients(work))
+    return value, wgrads, cgrads
 
 
 def loss_only(state: TrainState, weights=None, coeffs=None,
-              layout: Layout | None = None):
+              layout: Layout | None = None, work: Workspace | None = None):
     """The loss of loss_and_gradients without its gradients (a forward pass
     and the residual).  Unlike forward(), non-finite weights do not raise:
     they give a non-finite loss."""
-    weights = state.weights if weights is None else weights
-    if layout is None:
-        layout = _layout(state, coeffs)
-    H, _ = _forward_arrays(weights, state.X, layout, state.nonlinearity == "tanh")
-    return _half_squared(H[-1] - state.Y)
+    weights, layout, work = _prepare(state, weights, coeffs, layout, work)
+    _forward_arrays(work, weights, layout)
+    return _residual_loss(state, work)

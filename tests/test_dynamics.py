@@ -4,7 +4,7 @@ import pytest
 from restopo.ancre import AncreParams
 from restopo.dynamics import (RecordOptions, Trajectory, balance_drift, classify_rate,
                               integrate_gf, run_gd, train_batch)
-from restopo.network import Topology, TrainState, forward, loss_only
+from restopo.network import Topology, TrainState, forward, loss_and_gradients, loss_only
 from restopo.oracles import ub_witness_init
 from restopo.tensor import make_rng, random_orthogonal_data
 
@@ -71,6 +71,18 @@ class TestGdStep:
         for a, b in zip(nxt.weights, st.weights):
             np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_finite_gradient_whose_squares_overflow_keeps_running(self):
+        # dL/dW2 = r h1 = ~1e3 * 1e200 is finite, but its square is not: the
+        # step is taken, and the next loss blows up
+        st = TrainState(weights=[np.full((1, 1), 1e200), np.full((1, 1), 1e-197)],
+                        X=np.array([[1.0]]), Y=np.array([[0.5]]),
+                        topology=Topology.single(0, 2, 2))
+        assert np.isfinite(loss_and_gradients(st)[1]).all()
+        traj, _ = run_gd(st, lr=0.1, iters=3)
+        assert traj.stop_reason == "loss_blowup"
+        assert traj.steps == 1
+
     def test_rejects_nonpositive_lr(self):
         with pytest.raises(ValueError):
             one_step(scalar_state(), lr=0.0)
@@ -89,6 +101,60 @@ def ancre_state(seed=0, K=3, d=4):
     st = small_state(seed=seed, K=K, d=d)
     return TrainState(weights=st.weights, X=st.X, Y=st.Y,
                       ancre=AncreParams.uniform(K, mode="outgoing", temperature=0.3))
+
+
+def textbook_step(state, method, step, step_c):
+    """One update of `method` from fresh loss_and_gradients calls, written
+    as the textbook formula: (weights, raw coefficients or None)."""
+    c0 = None if state.ancre is None else state.ancre.c
+
+    def grad(w, c):
+        _, gw, gc = loss_and_gradients(state, w, c)
+        return gw, gc
+
+    def shifted(c, h, g):
+        return None if c is None else c - h * g
+
+    k1w, k1c = grad(state.weights, c0)
+    if method != "rk4":
+        return state.weights - step * k1w, shifted(c0, step_c, k1c)
+    k2w, k2c = grad(state.weights - 0.5 * step * k1w, shifted(c0, 0.5 * step, k1c))
+    k3w, k3c = grad(state.weights - 0.5 * step * k2w, shifted(c0, 0.5 * step, k2c))
+    k4w, k4c = grad(state.weights - step * k3w, shifted(c0, step, k3c))
+    w = state.weights - (step / 6.0) * (k1w + 2 * k2w + 2 * k3w + k4w)
+    c = None if c0 is None else c0 - (step / 6.0) * (k1c + 2 * k2c + 2 * k3c + k4c)
+    return w, c
+
+
+class TestTextbookUpdate:
+    """One driver step equals its textbook formula, bit for bit."""
+
+    @pytest.mark.parametrize("method", ["gd", "euler", "rk4"])
+    @pytest.mark.parametrize("make", [small_state, ancre_state], ids=["fixed", "learned"])
+    def test_solo_step(self, method, make):
+        st = make(seed=12)
+        step, step_c = 0.05, (0.2 if method == "gd" else 0.05)
+        if method == "gd":
+            _, final = run_gd(st, step, 1, step_c)
+        else:
+            _, final = integrate_gf(st, step, step, method)
+        w, c = textbook_step(st, method, step, step_c)
+        np.testing.assert_array_equal(final.weights, w)
+        if c is not None:
+            assert np.any(c != st.ancre.c)
+            np.testing.assert_array_equal(final.ancre.c, c)
+
+    @pytest.mark.parametrize("method", ["gd", "euler", "rk4"])
+    def test_batch_step(self, method):
+        base = small_state(seed=13)
+        states = [TrainState(weights=small_state(seed=s).weights, X=base.X, Y=base.Y,
+                             topology=t)
+                  for s, t in enumerate((Topology.single(0, 2, 3), Topology.cascaded(3),
+                                         Topology.single(1, 3, 3)))]
+        batch = train_batch(states, method, 0.05, 1)
+        for st, (_, final) in zip(states, batch):
+            np.testing.assert_array_equal(final.weights, textbook_step(st, method, 0.05,
+                                                                      0.05)[0])
 
 
 class TestRunGd:
@@ -171,7 +237,11 @@ class TestTrainBatch:
             "overflow": batch_member(1e200, 1e200, Topology.none(2)),
             # a loss of 5e7 whose dL/dW2 = r h1 = 1e4 * 1e305 overflows
             "nonfinite_grad": batch_member(1e305, 1e-301, Topology.single(0, 2, 2)),
+            # a finite dL/dW2 = ~1e3 * 1e200 whose square overflows: it takes
+            # its step, and its loss blows up at the next
+            "squares_overflow": batch_member(1e200, 1e-197, Topology.single(0, 2, 2)),
         }
+        blowups = {"overflow", "squares_overflow"}
         options = RecordOptions(record_every=3, stop_below=1e-12)
         step, n_steps = 0.1, 20
         batch = train_batch(list(members.values()), method, step, n_steps, options=options)
@@ -180,7 +250,7 @@ class TestTrainBatch:
                 solo, solo_final = run_gd(st, step, n_steps, options=options)
             else:
                 solo, solo_final = integrate_gf(st, step, step * n_steps, method, options)
-            assert traj.stop_reason == ("loss_blowup" if kind == "overflow" else kind)
+            assert traj.stop_reason == ("loss_blowup" if kind in blowups else kind)
             assert traj.stop_reason == solo.stop_reason
             assert traj.steps == solo.steps
             assert traj.diverged == solo.diverged

@@ -68,6 +68,16 @@ class TestConfig:
                                             **{field: value}))
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("optimizer", ["gf-euler", "gf-rk4"])
+    def test_lr_c_rejected_under_gradient_flow(self, tmp_path, optimizer):
+        # gradient flow integrates every parameter at one rate, so an lr_c
+        # would be echoed in config.json and record.json yet change nothing
+        with pytest.raises(ValueError, match="lr_c"):
+            run(ExperimentConfig.for_preset("custom", ancre_mode="ingoing",
+                                            optimizer=optimizer, lr_c=0.0, t_end=0.1,
+                                            output_dir=str(tmp_path)))
+        assert list(tmp_path.iterdir()) == []
+
     def test_round_trips_through_json(self):
         cfg = ExperimentConfig.for_preset("ub-witness", seed=3)
         import dataclasses

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from restopo.ancre import AncreParams, candidate_pairs
-from restopo.network import Topology, TrainState, forward, loss_and_gradients
+from restopo.network import (Topology, TrainState, Workspace, forward, loss_and_gradients,
+                             loss_only, stack_layouts)
 from restopo.oracles import fd_gradient, pack_state
 from restopo.tensor import ShapeError, make_rng, random_orthogonal_data
 
@@ -253,6 +254,108 @@ class TestMixingForward:
         assert again[0] == value
         np.testing.assert_array_equal(again[1], wgrads)
         np.testing.assert_array_equal(again[2], cgrads)
+
+
+def _mixing(K, mode, seed):
+    rng = make_rng(seed)
+    c = {pair: float(rng.uniform(-0.5, 0.5)) for pair in candidate_pairs(K)}
+    return AncreParams(K=K, c=c, mode=mode, temperature=0.3)
+
+
+WORKSPACE_CASES = {
+    "none": dict(K=2, topology=Topology.none(2)),
+    "cascaded": dict(K=3, topology=Topology.cascaded(3)),
+    "0:2_tanh": dict(K=3, topology=Topology.single(0, 2, 3), nonlinearity="tanh"),
+    # sources that feed an adjoint after the trunk has written it, and
+    # twice in one layer
+    "0:2+1:4+3:4": dict(K=4, topology=Topology(K=4, shortcuts=frozenset({(0, 2), (1, 4),
+                                                                         (3, 4)}))),
+    "1:3+0:4+2:4_tanh": dict(K=4, topology=Topology(K=4, shortcuts=frozenset(
+        {(1, 3), (0, 4), (2, 4)})), nonlinearity="tanh"),
+    "ingoing": dict(K=3, ancre=_mixing(3, "ingoing", 1)),
+    "ingoing_trunk_off": dict(K=3, ancre=_mixing(3, "ingoing", 2), trunk=False),
+    "outgoing_trunk_off_tanh": dict(K=4, ancre=_mixing(4, "outgoing", 3), trunk=False,
+                                    nonlinearity="tanh"),
+}
+
+
+class TestWorkspace:
+    """Evaluating into a reused Workspace gives what a fresh call gives."""
+
+    @pytest.mark.parametrize("case", list(WORKSPACE_CASES))
+    def test_matches_fresh_arrays(self, case):
+        st = make_state(seed=7, **WORKSPACE_CASES[case])
+        work = Workspace(st, st.weights.shape)
+        rng = make_rng(9)
+        # several parameter sets in turn, so that anything one pass left in
+        # the buffers would show in the next
+        for _ in range(3):
+            weights = st.weights + 0.3 * rng.standard_normal(st.weights.shape)
+            coeffs = None
+            if st.ancre is not None:
+                coeffs = st.ancre.c + np.triu(rng.uniform(-1, 1, st.ancre.c.shape), 1)
+            want = loss_and_gradients(st, weights, coeffs)
+            got = loss_and_gradients(st, weights, coeffs, work=work)
+            assert got[0] == want[0]
+            np.testing.assert_array_equal(got[1], want[1])
+            if st.ancre is None:
+                assert got[2] is None and want[2] is None
+            else:
+                np.testing.assert_array_equal(got[2], want[2])
+            assert loss_only(st, weights, coeffs, work=work) == want[0]
+
+    def test_stacked_batch_matches_fresh_arrays(self):
+        topologies = [Topology.cascaded(3), Topology.none(3), Topology.single(1, 3, 3)]
+        base = make_state(seed=4)
+        states = [TrainState(weights=make_state(seed=s).weights, X=base.X, Y=base.Y,
+                             topology=t) for s, t in enumerate(topologies)]
+        layout = stack_layouts([t.layout for t in topologies])
+        weights = np.array([s.weights for s in states])
+        work = Workspace(states[0], weights.shape, layout)
+        for scale in (1.0, 2.0, 0.5):
+            want = loss_and_gradients(states[0], scale * weights, None, layout)
+            got = loss_and_gradients(states[0], scale * weights, None, layout, work)
+            np.testing.assert_array_equal(got[0], want[0])
+            np.testing.assert_array_equal(got[1], want[1])
+            np.testing.assert_array_equal(loss_only(states[0], scale * weights, None,
+                                                    layout, work), want[0])
+            # and each member is its own solo pass
+            for m, st in enumerate(states):
+                solo = loss_and_gradients(st, scale * weights[m])
+                assert got[0][m] == solo[0]
+                np.testing.assert_array_equal(got[1][m], solo[1])
+
+    def test_successive_evals_keep_earlier_results(self):
+        st = make_state(seed=3, **WORKSPACE_CASES["ingoing"])
+        work = Workspace(st, st.weights.shape, slots=2)
+        first = loss_and_gradients(st, work=work)
+        kept = (first[0], first[1].copy(), first[2].copy())
+        weights, X = st.weights.copy(), st.X.copy()
+        second = loss_and_gradients(st, 2.0 * st.weights, work=work)
+        assert second[1] is not first[1] and second[2] is not first[2]
+        assert first[0] == kept[0]
+        np.testing.assert_array_equal(first[1], kept[1])
+        np.testing.assert_array_equal(first[2], kept[2])
+        # the state is read, never written
+        np.testing.assert_array_equal(st.weights, weights)
+        np.testing.assert_array_equal(st.X, X)
+        # a third eval reuses the first slot
+        third = loss_and_gradients(st, work=work)
+        assert third[1] is first[1]
+
+    def test_rejects_another_state_or_shape(self):
+        st = make_state(K=3, topology=Topology.cascaded(3))
+        work = Workspace(st, st.weights.shape)
+        other = make_state(K=3, topology=Topology.cascaded(3), seed=5)
+        with pytest.raises(ValueError, match="workspace"):
+            loss_and_gradients(other, work=work)
+        with pytest.raises(ValueError, match="workspace"):
+            loss_and_gradients(st, np.array([st.weights] * 2),
+                               layout=stack_layouts([st.topology.layout] * 2), work=work)
+        tanh = TrainState(weights=st.weights, X=st.X, Y=st.Y, topology=st.topology,
+                          nonlinearity="tanh")
+        with pytest.raises(ValueError, match="workspace"):
+            loss_only(tanh, work=work)
 
 
 class TestTrainStateValidation:

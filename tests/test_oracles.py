@@ -3,13 +3,80 @@ import pytest
 
 from restopo.dynamics import RecordOptions, integrate_gf
 from restopo.network import Topology, TrainState, forward
-from restopo.oracles import (DiagState, delta_threshold, diag_integrate, fd_gradient,
-                             lb_witness_init, lower_bound_curve, pack_state,
+from restopo.oracles import (SCALAR_MAX_D, DiagState, delta_threshold, diag_integrate,
+                             fd_gradient, lb_witness_init, lower_bound_curve, pack_state,
                              ub_witness_init, upper_bound_curve)
 from restopo.tensor import make_rng
 
 
+def reference_diag_integrate(s0, dt, t_end, method, record_every):
+    """The decoupled system as (3, d) numpy arrays, one step at a time:
+    (times, records as (records, 3, d), diverged)."""
+    def rhs(y):
+        w, u, v = y
+        r = w * u * v - sigma
+        return np.stack([-u * v * r, -w * v * r, -w * u * r])
+
+    sigma = np.asarray(s0.sigma, dtype=float)
+    y = np.stack([np.asarray(s0.w, dtype=float), np.asarray(s0.u, dtype=float),
+                  np.asarray(s0.v, dtype=float)])
+    n_steps = int(round(t_end / dt))
+    times, recs = [0.0], [y.copy()]
+    for it in range(1, n_steps + 1):
+        if method == "euler":
+            y = y + dt * rhs(y)
+        else:
+            k1 = rhs(y)
+            k2 = rhs(y + 0.5 * dt * k1)
+            k3 = rhs(y + 0.5 * dt * k2)
+            k4 = rhs(y + dt * k3)
+            y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.all(np.isfinite(y)):
+            times.append(it * dt)
+            recs.append(y.copy())
+            return np.array(times), np.array(recs), True
+        if it % record_every == 0 or it == n_steps:
+            times.append(it * dt)
+            recs.append(y.copy())
+    return np.array(times), np.array(recs), False
+
+
+def random_diag_state(d, seed):
+    rng = make_rng(seed)
+    return DiagState(w=rng.uniform(0.5, 1.0, d), u=rng.uniform(0.0, 0.5, d),
+                     v=rng.uniform(0.0, 0.5, d), sigma=rng.uniform(0.0, 1.5, d))
+
+
 class TestDiagIntegrate:
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("method", ["euler", "rk4"])
+    @pytest.mark.parametrize("case", ["lb_witness", "coarse_steps", "diverging",
+                                      "past_scalar_max_d"])
+    def test_matches_vectorized_reference(self, method, case):
+        dt, t_end, every = 1e-3, 2.0, 7
+        if case == "lb_witness":
+            _, s0 = lb_witness_init(d=4, rank_A=2, seed=3)
+        elif case == "coarse_steps":
+            # increments large enough that a change in the order of the RK4
+            # sum shows in the last bit of the state
+            s0, dt, t_end = random_diag_state(5, seed=4), 0.02, 5.0
+        elif case == "diverging":
+            # the middle coordinate overflows within a few steps, the others not
+            s0 = DiagState(w=np.array([0.5, 10.0, 0.2]), u=np.array([0.3, 10.0, 0.1]),
+                           v=np.array([0.3, 10.0, 0.4]), sigma=np.array([1.0, 0.0, 0.5]))
+            dt, every = 0.05, 3
+        else:
+            s0, t_end = random_diag_state(SCALAR_MAX_D + 1, seed=4), 0.2
+        times, recs, diverged = reference_diag_integrate(s0, dt, t_end, method, every)
+        traj = diag_integrate(s0, dt, t_end, method, every)
+        assert traj.diverged == diverged == (case == "diverging")
+        np.testing.assert_array_equal(traj.times, times)
+        for k, name in enumerate(("w", "u", "v")):
+            np.testing.assert_array_equal(getattr(traj, name), recs[:, k])
+        if diverged:
+            assert not np.all(np.isfinite(recs[-1]))
+
     def test_stationary_when_target_met(self):
         s0 = DiagState(w=np.array([0.8]), u=np.array([0.5]), v=np.array([0.5]),
                        sigma=np.array([0.8 * 0.5 * 0.5]))
