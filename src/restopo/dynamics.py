@@ -17,8 +17,9 @@ of a solo run, bit for bit.  run_gd and integrate_gf train one state.
 The driver keeps one network Workspace and its update buffers per active
 set, so a step allocates nothing: parameters are updated in place, the
 RK4 stage parameters and the weighted sum of k1..k4 are built in
-preallocated buffers (the workspace holds four gradient slots), and a
-lone member is evaluated without the member axis, as a solo run.
+preallocated buffers (each stage's gradients are folded into the sum
+before the next evaluation overwrites them), and a lone member is
+evaluated without the member axis, as a solo run.
 Evaluations go through this module's loss_and_gradients name, which the
 benchmark's tracer wraps.
 """
@@ -193,39 +194,40 @@ def _descend(active: _Active, wgrads: np.ndarray, cgrads: np.ndarray | None,
         active.coeffs -= np.multiply(cgrads, step_c, out=active.acc_c)
 
 
-def _shifted(out: np.ndarray, a: np.ndarray | None, scale: float,
-             g: np.ndarray) -> np.ndarray | None:
-    """a - scale * g, into out; None where a is."""
-    if a is None:
-        return None
-    return np.subtract(a, np.multiply(g, scale, out=out), out=out)
-
-
-def _rk4_increment(out: np.ndarray, tmp: np.ndarray, dt: float, k1, k2, k3, k4) -> np.ndarray:
-    """(dt / 6) * (k1 + 2 k2 + 2 k3 + k4), into out, in that expression's
-    operation order; tmp is scratch."""
-    np.multiply(k2, 2, out=out)
-    np.add(k1, out, out=out)
-    out += np.multiply(k3, 2, out=tmp)
-    out += k4
-    return np.multiply(out, dt / 6.0, out=out)
+def _stage(active: _Active, k: int, dt: float, kw: np.ndarray,
+           kc: np.ndarray | None) -> None:
+    """Fold stage k's gradients (k = 1..4) into the RK4 sum k1 + 2 k2 +
+    2 k3 + k4, built in the active set's acc buffers in that expression's
+    operation order, and build the next stage's parameters, theta - (dt/2)
+    k or, after k3, theta - dt k3, in its stage buffers.  Stage k's
+    gradients may be overwritten by the next evaluation once this
+    returns."""
+    for theta, g, acc, stage in ((active.weights, kw, active.acc, active.stage),
+                                 (active.coeffs, kc, active.acc_c, active.stage_c)):
+        if theta is None:
+            continue
+        if k < 4:
+            np.subtract(theta, np.multiply(g, dt if k == 3 else 0.5 * dt, out=stage),
+                        out=stage)
+        if k == 1:
+            np.copyto(acc, g)
+        elif k < 4:
+            acc += np.multiply(g, 2, out=g)
+        else:
+            acc += g
 
 
 def _rk4(active: _Active, k1w: np.ndarray, k1c: np.ndarray | None, dt: float, _) -> None:
     """The classical RK4 update, in place, with stage gradients evaluated
-    at stage parameters built in the active set's buffers.  Its network
-    workspace holds four gradient slots, so k1 .. k4 stay valid together."""
-    w, c = active.weights, active.coeffs
-    stage_c = None if c is None else active.stage_c
-    _, k2w, k2c = active.grad(_shifted(active.stage, w, 0.5 * dt, k1w),
-                              _shifted(stage_c, c, 0.5 * dt, k1c))
-    _, k3w, k3c = active.grad(_shifted(active.stage, w, 0.5 * dt, k2w),
-                              _shifted(stage_c, c, 0.5 * dt, k2c))
-    _, k4w, k4c = active.grad(_shifted(active.stage, w, dt, k3w),
-                              _shifted(stage_c, c, dt, k3c))
-    w -= _rk4_increment(active.acc, active.stage, dt, k1w, k2w, k3w, k4w)
-    if c is not None:
-        c -= _rk4_increment(active.acc_c, stage_c, dt, k1c, k2c, k3c, k4c)
+    at stage parameters built in the active set's buffers:
+    theta <- theta - (dt / 6) (k1 + 2 k2 + 2 k3 + k4)."""
+    _stage(active, 1, dt, k1w, k1c)
+    for k in (2, 3, 4):
+        _, kw, kc = active.grad(active.stage, active.stage_c)
+        _stage(active, k, dt, kw, kc)
+    active.weights -= np.multiply(active.acc, dt / 6.0, out=active.acc)
+    if active.coeffs is not None:
+        active.coeffs -= np.multiply(active.acc_c, dt / 6.0, out=active.acc_c)
 
 
 def _parameters(states) -> tuple[np.ndarray, np.ndarray | None]:
@@ -253,7 +255,7 @@ class _Active:
     new one whenever the active set shrinks."""
 
     def __init__(self, states, members: list, weights: np.ndarray,
-                 coeffs: np.ndarray | None, slots: int):
+                 coeffs: np.ndarray | None):
         self.members, self.lone = members, len(members) == 1
         self.state = state = states[members[0]]
         self.weights, self.coeffs = weights, coeffs
@@ -262,8 +264,9 @@ class _Active:
         else:
             # a learned layout is normalized from the coefficients of each call
             self.layout = None if state.ancre is not None else state.topology.layout
-        self.work = Workspace(state, weights.shape, self.layout, slots)
+        self.work = Workspace(state, weights.shape, self.layout)
         self.stage, self.acc = np.empty_like(weights), np.empty_like(weights)
+        self.stage_c = self.acc_c = None
         if coeffs is not None:
             self.stage_c, self.acc_c = np.empty_like(coeffs), np.empty_like(coeffs)
 
@@ -304,8 +307,8 @@ def _drive(states, method: str, step: float, n_steps: int, lr_c: float | None,
     place.  The budget step evaluates the loss alone."""
     options = options or RecordOptions()
     step_c = step if lr_c is None else lr_c
-    update, slots = (_rk4, 4) if method == "rk4" else (_descend, 1)
-    active = _Active(states, list(range(len(states))), *_parameters(states), slots)
+    update = _rk4 if method == "rk4" else _descend
+    active = _Active(states, list(range(len(states))), *_parameters(states))
     capacity = n_steps // options.record_every + 2
     recs = [_Recorder(options, step, capacity, s.K, s.d) for s in states]
     results = [None] * len(states)
@@ -348,7 +351,7 @@ def _drive(states, method: str, step: float, n_steps: int, lr_c: float | None,
             wgrads, cgrads = active.take(wgrads, keep), active.take(cgrads, keep)
             active = _Active(states, [active.members[row] for row in keep],
                              active.take(active.weights, keep),
-                             active.take(active.coeffs, keep), slots)
+                             active.take(active.coeffs, keep))
         update(active, wgrads, cgrads, step, step_c)
 
     return results

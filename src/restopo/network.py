@@ -22,7 +22,7 @@ coefficient.  loss_only is its forward half; forward returns h_K alone
 its weights as one float64 (K, d, d) array of its own.
 
 Both passes run in a Workspace: the hidden states (h_0 = X written once),
-the adjoint stack, the weight-gradient slots, their per-layer views and
+the adjoint stack, the weight-gradient buffer, their per-layer views and
 the order of the adjoint writes, resolved once per layout.  A training
 run builds one and passes it to every evaluation, so a small-d step pays
 for its numpy kernels and little else; a call without one builds its own
@@ -209,15 +209,6 @@ def _layout(state: TrainState, coeffs: np.ndarray | None = None) -> Layout:
     return Layout(p, _all_sources(params.K), p.T.tolist(), state.trunk, params)
 
 
-def _structure(state: TrainState) -> tuple[tuple, bool]:
-    """The sources and trunk of the state's layout, without normalizing
-    learned coefficients."""
-    if state.topology is not None:
-        layout = state.topology.layout
-        return layout.sources, layout.trunk
-    return _all_sources(state.K), state.trunk
-
-
 def _put(dst: np.ndarray, c, x: np.ndarray, tmp: np.ndarray, first: bool) -> None:
     """dst = c * x if first, else dst += c * x; in place.  A unit
     coefficient (every fixed shortcut) skips the multiply; a stacked
@@ -274,23 +265,18 @@ class Workspace:
     same sources and trunk (a learned layout's coefficient values may
     change from call to call); other calls raise ValueError.  It holds the
     hidden states H with h_0 = X written once, the adjoint stack, the
-    trunk-off mixtures, the per-layer views of these and of the last two
-    weight arrays it was given, the layout's adjoint schedule and `slots`
-    weight-gradient buffers.  Each evaluation writes its weight
-    gradients into the next slot in turn, so a returned gradient stays
-    valid through slots - 1 further evaluations; the hidden states and the
-    adjoints are overwritten by the next one.  The loss and the coefficient
+    trunk-off mixtures, the weight-gradient buffer, the per-layer views of
+    these and of the last two weight arrays it was given, and the layout's
+    adjoint schedule.  The next evaluation overwrites all of them, the
+    returned weight gradients included; the loss and the coefficient
     gradients are fresh objects.
     """
 
-    def __init__(self, state: TrainState, shape: tuple, layout: Layout | None = None,
-                 slots: int = 1):
+    def __init__(self, state: TrainState, shape: tuple, layout: Layout | None = None):
         K = shape[-3]
         hidden = (K + 1,) + tuple(shape[:-3]) + state.X.shape
-        if layout is None:
-            self.sources, self.trunk = _structure(state)
-        else:
-            self.sources, self.trunk = layout.sources, layout.trunk
+        layout = _layout(state) if layout is None else layout
+        self.sources, self.trunk = layout.sources, layout.trunk
         self.X, self.shape, self.tanh = state.X, tuple(shape), state.nonlinearity == "tanh"
         # The pass's matrix products: np.dot's call costs less than
         # np.matmul's, and a stacked batch needs matmul's broadcasting.  Both
@@ -310,9 +296,8 @@ class Workspace:
             self.mix = list(np.empty(hidden))
             self.mix_t = _transposed(self.mix)
             self.delta = np.empty(hidden[1:])
-        self.grads = [np.empty(shape) for _ in range(slots)]
-        self._grad_layers = [list(_by_layer(g)) for g in self.grads]
-        self._slot = 0
+        self.grads = np.empty(shape)
+        self.grad_layers = list(_by_layer(self.grads))
         self._layers = {}
         self.q = np.zeros((K + 1, K + 1))
 
@@ -332,13 +317,6 @@ class Workspace:
             W = list(_by_layer(weights))
             views = self._layers[id(weights)] = (weights, W, _transposed(W))
         return views[1], views[2]
-
-    def next_grads(self) -> tuple[np.ndarray, list]:
-        """The weight-gradient slot the next evaluation writes, and its
-        per-layer views."""
-        slot = self._slot
-        self._slot = (slot + 1) % len(self.grads)
-        return self.grads[slot], self._grad_layers[slot]
 
 
 def _forward_arrays(work: Workspace, weights: np.ndarray, layout: Layout) -> None:
@@ -372,11 +350,11 @@ def _backward_arrays(work: Workspace, weights: np.ndarray, layout: Layout) -> np
     every source entry it feeds.  Layer k's source adjoint g_k (work.G[k])
     is what multiplies matrix[i, k] h_i in the loss, so dL/dmatrix[i, k] =
     <h_i, g_k>.  Returns the weight gradients, shaped like the weights, in
-    the workspace's next gradient slot.
+    the workspace's gradient buffer.
     """
     _, W_t = work.layers(weights)
     h, h_t, adj, G, tmp, mm = work.h, work.h_t, work.adj, work.G, work.tmp, work.mm
-    wgrads, out = work.next_grads()
+    out = work.grad_layers
     for k, trunk_first, feeds in work.schedule:
         delta = adj[k]
         if work.tanh:
@@ -397,7 +375,7 @@ def _backward_arrays(work: Workspace, weights: np.ndarray, layout: Layout) -> np
         col = layout.columns[k]
         for i, first in feeds:
             _put(adj[i], col[i], g, tmp, first)
-    return wgrads
+    return work.grads
 
 
 def _p_gradients(work: Workspace) -> np.ndarray:
@@ -465,7 +443,8 @@ def loss_and_gradients(state: TrainState, weights=None, coeffs=None,
 
     Without `work` the call builds its own Workspace, so every array it
     returns is fresh.  With one, the pass runs in its buffers and the
-    weight gradients are its next slot (see Workspace).
+    weight gradients are its gradient buffer, valid until its next
+    evaluation (see Workspace).
     """
     weights, layout, work = _prepare(state, weights, coeffs, layout, work)
     _forward_arrays(work, weights, layout)

@@ -13,11 +13,10 @@ diagonals, gradient flow reduces to
 This module integrates that system directly (an oracle independent of the
 full-matrix path), evaluates the closed-form convergence envelopes, builds
 the witness instances that satisfy the bounds' hypotheses, and provides a
-central-difference gradient oracle.  At the witnesses' small d the
-coordinates are integrated one by one in Python floats, where numpy's
-per-call cost would be the whole cost of a step; the arithmetic and its
-order are those of the vectorized form used at large d, so the records
-agree bit for bit.
+central-difference gradient oracle.  The coordinates are integrated one
+by one in Python floats, stepping together; the arithmetic and its order
+are those of the same update on numpy arrays, so the records agree with
+it bit for bit.
 """
 
 from __future__ import annotations
@@ -87,117 +86,60 @@ class DiagTrajectory:
         return 0.5 * np.sum((self.a - self.sigma) ** 2, axis=1)
 
 
-# Up to this many coordinates the per-coordinate loop in Python floats is
-# the faster oracle (at d=4 about a tenth of the vectorized step, whose
-# cost there is numpy's per-call cost); past it the vectorized form is.
-# Measured crossover: about d=50, under Euler and RK4 alike.
-SCALAR_MAX_D = 48
-
-
-def _diag_coordinate(w: float, u: float, v: float, sigma: float, dt: float,
-                     n_steps: int, rk4: bool, every: int) -> tuple[list, int, bool]:
-    """One coordinate of the decoupled system, in Python floats, with the
-    operation order of _diag_rhs and of the vectorized update.  Returns its
-    (w, u, v) at step 0, at every `every`-th step and at its last step, that
-    last step, and whether the run stayed finite: it stops at n_steps or
-    at the first step whose values are not all finite."""
-    isfinite = math.isfinite
-    half, sixth = 0.5 * dt, dt / 6.0
-    out = [(w, u, v)]
-    for it in range(1, n_steps + 1):
-        r = w * u * v - sigma
-        aw, au, av = -u * v * r, -w * v * r, -w * u * r
-        if rk4:
-            w2, u2, v2 = w + half * aw, u + half * au, v + half * av
-            r = w2 * u2 * v2 - sigma
-            bw, bu, bv = -u2 * v2 * r, -w2 * v2 * r, -w2 * u2 * r
-            w2, u2, v2 = w + half * bw, u + half * bu, v + half * bv
-            r = w2 * u2 * v2 - sigma
-            cw, cu, cv = -u2 * v2 * r, -w2 * v2 * r, -w2 * u2 * r
-            w2, u2, v2 = w + dt * cw, u + dt * cu, v + dt * cv
-            r = w2 * u2 * v2 - sigma
-            dw, du, dv = -u2 * v2 * r, -w2 * v2 * r, -w2 * u2 * r
-            w = w + sixth * (aw + 2.0 * bw + 2.0 * cw + dw)
-            u = u + sixth * (au + 2.0 * bu + 2.0 * cu + du)
-            v = v + sixth * (av + 2.0 * bv + 2.0 * cv + dv)
-        else:
-            w, u, v = w + dt * aw, u + dt * au, v + dt * av
-        if not (isfinite(w) and isfinite(u) and isfinite(v)):
-            out.append((w, u, v))
-            return out, it, False
-        if it % every == 0 or it == n_steps:
-            out.append((w, u, v))
-    return out, n_steps, True
-
-
-def _diag_rhs(y: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    w, u, v = y
-    r = w * u * v - sigma
-    return np.stack([-u * v * r, -w * v * r, -w * u * r])
-
-
-def _diag_vectorized(y: np.ndarray, sigma: np.ndarray, dt: float, n_steps: int,
-                     method: str, every: int) -> tuple[list, list, bool]:
-    """All coordinates at once as (3, d) arrays: the record times, the
-    recorded stacks and whether the run diverged."""
-    times, recs = [0.0], [y.copy()]
-    for it in range(1, n_steps + 1):
-        if method == "euler":
-            y = y + dt * _diag_rhs(y, sigma)
-        else:
-            k1 = _diag_rhs(y, sigma)
-            k2 = _diag_rhs(y + 0.5 * dt * k1, sigma)
-            k3 = _diag_rhs(y + 0.5 * dt * k2, sigma)
-            k4 = _diag_rhs(y + dt * k3, sigma)
-            y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(y)):
-            times.append(it * dt)
-            recs.append(y.copy())
-            return times, recs, True
-        if it % every == 0 or it == n_steps:
-            times.append(it * dt)
-            recs.append(y.copy())
-    return times, recs, False
-
-
 def diag_integrate(s0: DiagState, dt: float, t_end: float, method: str = "rk4",
                    record_every: int = 100) -> DiagTrajectory:
     """Integrate the decoupled coordinate system for round(t_end / dt)
     steps, recording every record_every steps and at the last one; the
     first step whose values are not all finite ends the run as diverged.
 
-    Up to SCALAR_MAX_D coordinates, each is integrated on its own in Python
-    floats; past it, all evolve at once as (3, d) numpy arrays.  The two
-    forms take the same operations in the same order, so their records
-    agree bit for bit."""
+    Every step advances each coordinate in turn in Python floats, with the
+    operations, and their order, of the same update on (3, d) numpy
+    arrays, so the records are those arrays' bit for bit.  At the
+    witnesses' small d numpy's per-call cost would be the whole cost of a
+    step."""
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
     if method not in ("rk4", "euler"):
         raise ValueError(f"method must be 'rk4' or 'euler', got {method!r}")
     sigma = np.asarray(s0.sigma, dtype=float)
-    y = np.stack([np.asarray(s0.w, dtype=float),
-                  np.asarray(s0.u, dtype=float),
-                  np.asarray(s0.v, dtype=float)])
+    coords = list(zip(np.asarray(s0.w, dtype=float).tolist(),
+                      np.asarray(s0.u, dtype=float).tolist(),
+                      np.asarray(s0.v, dtype=float).tolist()))
+    targets = sigma.tolist()
     n_steps = int(round(t_end / dt))
-    if len(sigma) > SCALAR_MAX_D:
-        times, recs, diverged = _diag_vectorized(y, sigma, dt, n_steps, method,
-                                                 record_every)
-        stack = np.array(recs)
-    else:
-        coords = [(*map(float, y[:, i]), float(sigma[i])) for i in range(len(sigma))]
-        runs = [_diag_coordinate(*c, dt, n_steps, method == "rk4", record_every)
-                for c in coords]
-        last = min(run[1] for run in runs)
-        diverged = not all(run[2] for run in runs)
+    rk4, half, sixth = method == "rk4", 0.5 * dt, dt / 6.0
+    isfinite = math.isfinite
+    times, recs, diverged = [0.0], [coords], False
+    for it in range(1, n_steps + 1):
+        stepped, finite = [], True
+        for (w, u, v), s in zip(coords, targets):
+            r = w * u * v - s
+            aw, au, av = -u * v * r, -w * v * r, -w * u * r
+            if rk4:
+                w2, u2, v2 = w + half * aw, u + half * au, v + half * av
+                r = w2 * u2 * v2 - s
+                bw, bu, bv = -u2 * v2 * r, -w2 * v2 * r, -w2 * u2 * r
+                w2, u2, v2 = w + half * bw, u + half * bu, v + half * bv
+                r = w2 * u2 * v2 - s
+                cw, cu, cv = -u2 * v2 * r, -w2 * v2 * r, -w2 * u2 * r
+                w2, u2, v2 = w + dt * cw, u + dt * cu, v + dt * cv
+                r = w2 * u2 * v2 - s
+                dw, du, dv = -u2 * v2 * r, -w2 * v2 * r, -w2 * u2 * r
+                w = w + sixth * (aw + 2.0 * bw + 2.0 * cw + dw)
+                u = u + sixth * (au + 2.0 * bu + 2.0 * cu + du)
+                v = v + sixth * (av + 2.0 * bv + 2.0 * cv + dv)
+            else:
+                w, u, v = w + dt * aw, u + dt * au, v + dt * av
+            finite = finite and isfinite(w) and isfinite(u) and isfinite(v)
+            stepped.append((w, u, v))
+        coords = stepped
+        diverged = not finite
+        if diverged or it % record_every == 0 or it == n_steps:
+            times.append(it * dt)
+            recs.append(coords)
         if diverged:
-            # every coordinate's record must end at the first divergence
-            runs = [_diag_coordinate(*c, dt, last, method == "rk4", record_every)
-                    for c in coords]
-        steps = list(range(0, last + 1, record_every))
-        if steps[-1] != last:
-            steps.append(last)
-        times = [it * dt for it in steps]
-        stack = np.array([run[0] for run in runs]).transpose(1, 2, 0)
+            break
+    stack = np.array(recs).reshape(len(recs), len(targets), 3).transpose(0, 2, 1)
     return DiagTrajectory(times=np.array(times), w=stack[:, 0], u=stack[:, 1],
                           v=stack[:, 2], sigma=sigma, diverged=diverged)
 

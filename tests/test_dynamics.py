@@ -327,6 +327,22 @@ class TestIntegrateGf:
         _, final = integrate_gf(st, dt=1e-2, t_end=1.0, method="rk4")
         assert np.any(final.ancre.c != 0.0)
 
+    @pytest.mark.parametrize("method", ["euler", "rk4"])
+    def test_a_second_run_leaves_the_first_results_alone(self, method):
+        st = ancre_state(seed=14)
+        options = RecordOptions(record_every=1, balance_gap=True, diagonals=True)
+        traj, final = integrate_gf(st, 0.01, 0.05, method, options)
+        kept = [a.copy() for a in (traj.losses, traj.weight_fro_norms, traj.balance_gap,
+                                   traj.diagonals, final.weights, final.ancre.c)]
+        initial = st.weights.copy()
+        integrate_gf(st, 0.02, 0.1, method, options)
+        integrate_gf(final, 0.01, 0.05, method, options)
+        for a, b in zip((traj.losses, traj.weight_fro_norms, traj.balance_gap,
+                         traj.diagonals, final.weights, final.ancre.c), kept):
+            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(st.weights, initial)
+        assert np.any(final.weights != initial)
+
 
 class TestClassifyRate:
     def test_synthetic_exponential(self):

@@ -325,23 +325,28 @@ class TestWorkspace:
                 assert got[0][m] == solo[0]
                 np.testing.assert_array_equal(got[1][m], solo[1])
 
-    def test_successive_evals_keep_earlier_results(self):
+    def test_gradients_valid_until_the_next_eval(self):
         st = make_state(seed=3, **WORKSPACE_CASES["ingoing"])
-        work = Workspace(st, st.weights.shape, slots=2)
+        work = Workspace(st, st.weights.shape)
         first = loss_and_gradients(st, work=work)
         kept = (first[0], first[1].copy(), first[2].copy())
         weights, X = st.weights.copy(), st.X.copy()
-        second = loss_and_gradients(st, 2.0 * st.weights, work=work)
-        assert second[1] is not first[1] and second[2] is not first[2]
-        assert first[0] == kept[0]
+        # a loss-only pass leaves the weight gradients alone
+        loss_only(st, 2.0 * st.weights, work=work)
         np.testing.assert_array_equal(first[1], kept[1])
+        second = loss_and_gradients(st, 2.0 * st.weights, work=work)
+        want = loss_and_gradients(st, 2.0 * st.weights)
+        # the weight gradients are the workspace's one buffer, now the second
+        # eval's; the loss and the coefficient gradients stay the first's
+        assert second[1] is first[1]
+        np.testing.assert_array_equal(second[1], want[1])
+        assert np.any(second[1] != kept[1])
+        assert first[0] == kept[0]
         np.testing.assert_array_equal(first[2], kept[2])
+        np.testing.assert_array_equal(second[2], want[2])
         # the state is read, never written
         np.testing.assert_array_equal(st.weights, weights)
         np.testing.assert_array_equal(st.X, X)
-        # a third eval reuses the first slot
-        third = loss_and_gradients(st, work=work)
-        assert third[1] is first[1]
 
     def test_rejects_another_state_or_shape(self):
         st = make_state(K=3, topology=Topology.cascaded(3))

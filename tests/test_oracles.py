@@ -1,11 +1,15 @@
+import math
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from restopo.dynamics import RecordOptions, integrate_gf
 from restopo.network import Topology, TrainState, forward
-from restopo.oracles import (SCALAR_MAX_D, DiagState, delta_threshold, diag_integrate,
-                             fd_gradient, lb_witness_init, lower_bound_curve, pack_state,
-                             ub_witness_init, upper_bound_curve)
+from restopo import oracles
+from restopo.oracles import (DiagState, delta_threshold, diag_integrate, fd_gradient,
+                             lb_witness_init, lower_bound_curve, pack_state, ub_witness_init,
+                             upper_bound_curve)
 from restopo.tensor import make_rng
 
 
@@ -41,6 +45,13 @@ def reference_diag_integrate(s0, dt, t_end, method, record_every):
     return np.array(times), np.array(recs), False
 
 
+def diverging_diag_state():
+    """Three coordinates; the middle one overflows within a few steps, the
+    others not."""
+    return DiagState(w=np.array([0.5, 10.0, 0.2]), u=np.array([0.3, 10.0, 0.1]),
+                     v=np.array([0.3, 10.0, 0.4]), sigma=np.array([1.0, 0.0, 0.5]))
+
+
 def random_diag_state(d, seed):
     rng = make_rng(seed)
     return DiagState(w=rng.uniform(0.5, 1.0, d), u=rng.uniform(0.0, 0.5, d),
@@ -51,8 +62,7 @@ class TestDiagIntegrate:
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("method", ["euler", "rk4"])
-    @pytest.mark.parametrize("case", ["lb_witness", "coarse_steps", "diverging",
-                                      "past_scalar_max_d"])
+    @pytest.mark.parametrize("case", ["lb_witness", "coarse_steps", "diverging"])
     def test_matches_vectorized_reference(self, method, case):
         dt, t_end, every = 1e-3, 2.0, 7
         if case == "lb_witness":
@@ -61,13 +71,8 @@ class TestDiagIntegrate:
             # increments large enough that a change in the order of the RK4
             # sum shows in the last bit of the state
             s0, dt, t_end = random_diag_state(5, seed=4), 0.02, 5.0
-        elif case == "diverging":
-            # the middle coordinate overflows within a few steps, the others not
-            s0 = DiagState(w=np.array([0.5, 10.0, 0.2]), u=np.array([0.3, 10.0, 0.1]),
-                           v=np.array([0.3, 10.0, 0.4]), sigma=np.array([1.0, 0.0, 0.5]))
-            dt, every = 0.05, 3
         else:
-            s0, t_end = random_diag_state(SCALAR_MAX_D + 1, seed=4), 0.2
+            s0, dt, every = diverging_diag_state(), 0.05, 3
         times, recs, diverged = reference_diag_integrate(s0, dt, t_end, method, every)
         traj = diag_integrate(s0, dt, t_end, method, every)
         assert traj.diverged == diverged == (case == "diverging")
@@ -76,6 +81,25 @@ class TestDiagIntegrate:
             np.testing.assert_array_equal(getattr(traj, name), recs[:, k])
         if diverged:
             assert not np.all(np.isfinite(recs[-1]))
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("method", ["euler", "rk4"])
+    def test_divergence_ends_the_work(self, monkeypatch, method):
+        # a million-step budget; the run must stop at the first divergence,
+        # not step the coordinates that stay finite through their budget
+        checks = []
+
+        def isfinite(x):
+            checks.append(x)
+            return math.isfinite(x)
+
+        monkeypatch.setattr(oracles, "math", SimpleNamespace(isfinite=isfinite))
+        dt = 0.05
+        traj = diag_integrate(diverging_diag_state(), dt, 1e6 * dt, method, record_every=3)
+        last = round(traj.times[-1] / dt)
+        assert traj.diverged and last < 20
+        assert len(checks) <= 3 * 3 * last
 
     def test_stationary_when_target_met(self):
         s0 = DiagState(w=np.array([0.8]), u=np.array([0.5]), v=np.array([0.5]),
