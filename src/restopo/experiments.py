@@ -87,6 +87,26 @@ KDEEP_PAIR_STEP = 0.4
 W1_SCALE = 0.01
 DEPTH_RANGE = (0.25, 0.4)
 
+# The config fields each preset does not read.  A value other than the
+# preset's default would be echoed in config.json yet change nothing, so
+# it is rejected.  custom reads the ANCRe fields only with an ancre_mode.
+_ANCRE_ONLY = ("ancre_mode", "temperature", "trunk")
+_UNREAD = {
+    "depth-sweep": ("K", "topology", "lam", "rank_deficiency") + _ANCRE_ONLY,
+    "topo-3layer": ("K", "topology", "lam"),
+    "topo-4layer": ("K", "topology", "lam"),
+    "ancre-lnn": ("K", "topology", "lam"),
+    "kdeep-extension": ("K", "topology", "lam") + _ANCRE_ONLY,
+    "lb-witness": ("K", "topology", "lam", "nonlinearity") + _ANCRE_ONLY,
+    "ub-witness": ("K", "topology", "rank_deficiency", "nonlinearity") + _ANCRE_ONLY,
+    "custom": ("lam",),
+}
+
+
+def _check_preset(preset) -> None:
+    if not isinstance(preset, str) or preset not in PRESETS:
+        raise ValueError(f"unknown preset {preset!r}; known: {sorted(PRESETS)}")
+
 
 @dataclass
 class ExperimentConfig:
@@ -113,8 +133,12 @@ class ExperimentConfig:
     output_dir: str | None = None
 
     def __post_init__(self):
-        if self.preset not in PRESETS:
-            raise ValueError(f"unknown preset {self.preset!r}; known: {sorted(PRESETS)}")
+        _check_preset(self.preset)
+        for name in ("topology", "output_dir"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, str):
+                raise ValueError(f"config field {name!r} must be None or a string, "
+                                 f"got {value!r}")
         for name in ("d", "n", "K", "iters", "record_every", "seed", "rank_deficiency"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
@@ -170,11 +194,22 @@ class ExperimentConfig:
         if not lowest <= self.rank_deficiency < self.d:
             raise ValueError(f"config field 'rank_deficiency' must lie in "
                              f"[{lowest}, d={self.d}), got {self.rank_deficiency}")
+        if self.preset in ("lb-witness", "ub-witness") and self.n != self.d:
+            raise ValueError(f"config field 'n' must equal d={self.d} under preset "
+                             f"{self.preset!r}, whose data is X = I_d; got n={self.n}")
+        unread, where = _UNREAD[self.preset], f"preset {self.preset!r}"
+        if self.preset == "custom" and self.ancre_mode is None:
+            unread, where = unread + _ANCRE_ONLY, where + " without 'ancre_mode'"
+        defaults = {f.name: f.default for f in fields(self)} | PRESETS[self.preset]
+        for name in unread:
+            value = getattr(self, name)
+            if value != defaults[name]:
+                raise ValueError(f"config field {name!r} is not used by {where}; it must "
+                                 f"keep its default {defaults[name]!r}, got {value!r}")
 
     @classmethod
     def for_preset(cls, preset: str, **overrides) -> "ExperimentConfig":
-        if preset not in PRESETS:
-            raise ValueError(f"unknown preset {preset!r}; known: {sorted(PRESETS)}")
+        _check_preset(preset)
         merged = dict(PRESETS[preset])
         merged.update(overrides)
         return cls(preset=preset, **merged)
@@ -357,6 +392,17 @@ def _monotone_loss_check(traj: Trajectory, name: str) -> dict:
                   note="max recorded loss increase beyond 1e-10 * L")
 
 
+def _lower_bound_envelope_check(traj: Trajectory, a_d0: float) -> dict:
+    """The lower-bound witness's rate check: the loss stays above 0.99 times
+    the envelope lower_bound_curve(a_d0, t) at every recorded time.  It
+    holds under the 0:1 shortcut and fails where a layout converges
+    exponentially (0:2), the paper's exponential gap."""
+    env = lower_bound_curve(a_d0, traj.times)
+    return _check("lower_bound_envelope",
+                  float(np.min(traj.losses / (env * (1.0 - 1e-2)))), 1.0, ">=",
+                  note="min L(t) / (0.99 * envelope)")
+
+
 def _w3_growth_check(traj: Trajectory, L0: float) -> dict:
     fro3 = traj.weight_fro_norms[:, 2]
     cap = fro3[0] + np.sqrt(np.maximum(traj.times, 0.0) * L0) + 1e-3
@@ -460,12 +506,9 @@ def _run_lb_witness(cfg: ExperimentConfig, record: dict, files: dict):
 
     [(traj, _)] = _curve(cfg, record, files, [("gf", state.copy())], diagonals=True,
                          extra=lambda t: {"lb_env": lower_bound_curve(a_d0, t)})
-    env = lower_bound_curve(a_d0, traj.times)
 
     checks = record["invariant_checks"]
-    checks.append(_check("lower_bound_envelope",
-                         float(np.min(traj.losses / (env * (1.0 - 1e-2)))), 1.0, ">=",
-                         note="min L(t) / (0.99 * envelope)"))
+    checks.append(_lower_bound_envelope_check(traj, a_d0))
 
     oracle = diag_integrate(diag0, cfg.dt, cfg.t_end, method="rk4",
                             record_every=cfg.record_every)

@@ -21,9 +21,13 @@ coefficient.  loss_only is its forward half; forward returns h_K alone
 (with X = I, the end-to-end map of a linear network).  A TrainState holds
 its weights as one float64 (K, d, d) array of its own.
 
+The reverse pass mirrors the forward: where the forward sums a layer's
+sources into its input, the reverse gathers each h_i's adjoint from the
+layers that read it, in one place and a fixed order.
+
 Both passes run in a Workspace: the hidden states (h_0 = X written once),
 the adjoint stack, the weight-gradient buffer, their per-layer views and
-the order of the adjoint writes, resolved once per layout.  A training
+the layers that read each source, resolved once per workspace.  A training
 run builds one and passes it to every evaluation, so a small-d step pays
 for its numpy kernels and little else; a call without one builds its own
 and so returns fresh arrays.  It is the same pass either way, bit for bit.
@@ -146,7 +150,9 @@ class TrainState:
 
     trunk applies to mixing mode only: with trunk on, layer k computes
     W_k h_{k-1} plus the convex shortcut mixture; with trunk off, the
-    mixture itself is the layer input, h_k = act(W_k sum_i p_ik h_i).
+    mixture itself is the layer input, h_k = act(W_k sum_i p_ik h_i).  A
+    fixed topology always has its trunk, so trunk=False without ancre
+    raises ValueError.
 
     weights may be given as any sequence of K d x d matrices; the state
     stores a float64 (K, d, d) copy, so it never shares them with the
@@ -166,6 +172,8 @@ class TrainState:
     def __post_init__(self):
         if (self.topology is None) == (self.ancre is None):
             raise ValueError("exactly one layout source required: topology or ancre")
+        if not self.trunk and self.ancre is None:
+            raise ValueError("trunk=False needs ancre: a fixed topology keeps its trunk")
         if self.nonlinearity not in ("none", "tanh"):
             raise ValueError(f"nonlinearity must be 'none' or 'tanh', got {self.nonlinearity!r}")
         K = len(self.weights)
@@ -234,26 +242,6 @@ def _transposed(stack) -> list:
     return [a.swapaxes(-1, -2) for a in stack]
 
 
-@lru_cache(maxsize=None)
-def _adjoint_schedule(sources: tuple, trunk: bool) -> tuple:
-    """The reverse pass's writes into the adjoint stack, in order: for each
-    layer k = K..1, (k, trunk, feeds) with trunk whether the trunk's
-    contribution to h_{k-1}'s adjoint is its first (None without one) and
-    feeds the pairs (i, first) for the sources i >= 1 of layer k.  A first
-    write sets the adjoint; later ones add to it, in the order listed."""
-    written = set()
-
-    def first(i):
-        new = i not in written
-        written.add(i)
-        return new
-
-    K = len(sources) - 1
-    return tuple((k, first(k - 1) if trunk and k > 1 else None,
-                  tuple((i, first(i)) for i in sources[k] if i))
-                 for k in range(K, 0, -1))
-
-
 class Workspace:
     """The buffers of repeated evaluations of one state at one parameter
     shape under one layout structure.
@@ -265,10 +253,11 @@ class Workspace:
     same sources and trunk (a learned layout's coefficient values may
     change from call to call); other calls raise ValueError.  It holds the
     hidden states H with h_0 = X written once, the adjoint stack, the
-    trunk-off mixtures, the weight-gradient buffer, the per-layer views of
-    these and of the last two weight arrays it was given, and the layout's
-    adjoint schedule.  The next evaluation overwrites all of them, the
-    returned weight gradients included; the loss and the coefficient
+    source adjoints G with g_0 = 0 written once, the trunk-off mixtures,
+    the weight-gradient buffer, the per-layer views of these and of the
+    last two weight arrays it was given, and readers[i], the layers that
+    read source i, ascending.  The next evaluation overwrites all of them,
+    the returned weight gradients included; the loss and the coefficient
     gradients are fresh objects.
     """
 
@@ -282,15 +271,20 @@ class Workspace:
         # np.matmul's, and a stacked batch needs matmul's broadcasting.  Both
         # reach the same BLAS product, so a member's bits are its solo pass's.
         self.mm = np.dot if len(shape) == 3 else np.matmul
-        self.schedule = _adjoint_schedule(self.sources, self.trunk)
+        self.readers = [[j for j in range(i + 1, K + 1) if i in self.sources[j]]
+                        for i in range(K + 1)]
         self.H = np.empty(hidden)
         self.H[0] = state.X
         self.h, self.h_t = list(self.H), _transposed(self.H)
-        self.adj = list(np.empty(hidden))
+        adj = np.empty(hidden)
         self.tmp = np.empty(hidden[1:])
         # g_k, the adjoint of layer k's source sum, is its delta with the
         # trunk on and without tanh; else it needs a stack of its own.
-        self.G = self.adj if self.trunk and not self.tanh else list(np.empty(hidden))
+        # h_0 = X has no adjoint: g_0 = 0 keeps dL/dP's column 0 exactly 0.
+        G = adj if self.trunk and not self.tanh else np.empty(hidden)
+        G[0] = 0.0
+        self.adj, self.G = list(adj), list(G)
+        self.HG = (self.H.reshape(K + 1, -1), G.reshape(K + 1, -1).T)
         self.mix = None
         if not self.trunk:
             self.mix = list(np.empty(hidden))
@@ -299,7 +293,7 @@ class Workspace:
         self.grads = np.empty(shape)
         self.grad_layers = list(_by_layer(self.grads))
         self._layers = {}
-        self.q = np.zeros((K + 1, K + 1))
+        self.q = np.empty((K + 1, K + 1))
 
     def fits(self, state: TrainState, weights: np.ndarray, layout: Layout) -> bool:
         """Whether this workspace serves an evaluation of these arguments."""
@@ -333,9 +327,8 @@ def _forward_arrays(work: Workspace, weights: np.ndarray, layout: Layout) -> Non
                 _put(z, col[i], h[i], tmp, False)
         else:
             s = work.mix[k]
-            s.fill(0.0)
-            for i in layout.sources[k]:
-                _put(s, col[i], h[i], tmp, False)
+            for rank, i in enumerate(layout.sources[k]):
+                _put(s, col[i], h[i], tmp, rank == 0)
             mm(W[k - 1], s, out=z)
         if work.tanh:
             np.tanh(z, out=z)
@@ -345,17 +338,19 @@ def _backward_arrays(work: Workspace, weights: np.ndarray, layout: Layout) -> np
     """Reverse accumulation through the hidden recurrence, from the residual
     in work.adj[K].
 
-    Visits layers K..1, accumulating the adjoint of every h_i (i >= 1) over
-    all of its uses, in work.schedule's order: the next layer's map, then
-    every source entry it feeds.  Layer k's source adjoint g_k (work.G[k])
-    is what multiplies matrix[i, k] h_i in the loss, so dL/dmatrix[i, k] =
-    <h_i, g_k>.  Returns the weight gradients, shaped like the weights, in
-    the workspace's gradient buffer.
+    Visits layers K..1.  Layer k's source adjoint g_k (work.G[k]) is what
+    multiplies matrix[i, k] h_i in the loss, so dL/dmatrix[i, k] =
+    <h_i, g_k>.  Once layer k's delta, weight gradient and g_k are known,
+    every use of h_{k-1} has been visited, so h_{k-1}'s whole adjoint is
+    gathered there (k >= 2), as the forward sums a layer's input: the
+    trunk's W_k^T delta_k, then matrix[k-1, j] g_j for each layer j that
+    reads h_{k-1}, ascending.  Returns the weight gradients, shaped like
+    the weights, in the workspace's gradient buffer.
     """
     _, W_t = work.layers(weights)
     h, h_t, adj, G, tmp, mm = work.h, work.h_t, work.adj, work.G, work.tmp, work.mm
     out = work.grad_layers
-    for k, trunk_first, feeds in work.schedule:
+    for k in range(len(h) - 1, 0, -1):
         delta = adj[k]
         if work.tanh:
             np.multiply(h[k], h[k], out=tmp)
@@ -363,29 +358,24 @@ def _backward_arrays(work: Workspace, weights: np.ndarray, layout: Layout) -> np
             delta = np.multiply(delta, tmp, out=G[k] if layout.trunk else work.delta)
         if layout.trunk:
             mm(delta, h_t[k - 1], out=out[k - 1])
-            g = delta
-            if trunk_first is not None:
-                if trunk_first:
-                    mm(W_t[k - 1], delta, out=adj[k - 1])
-                else:
-                    adj[k - 1] += mm(W_t[k - 1], delta, out=tmp)
         else:
             mm(delta, work.mix_t[k], out=out[k - 1])
-            g = mm(W_t[k - 1], delta, out=G[k])
-        col = layout.columns[k]
-        for i, first in feeds:
-            _put(adj[i], col[i], g, tmp, first)
+            mm(W_t[k - 1], delta, out=G[k])
+        if k > 1:
+            a = adj[k - 1]
+            if layout.trunk:
+                mm(W_t[k - 1], delta, out=a)
+            for rank, j in enumerate(work.readers[k - 1]):
+                _put(a, layout.columns[j][k - 1], G[j], tmp, rank == 0 and not layout.trunk)
     return work.grads
 
 
 def _p_gradients(work: Workspace) -> np.ndarray:
-    """dL/dP: column k is the stacked h_0 ... h_{k-1} contracted with g_k.
-    The matrix is the workspace's; only its columns' upper parts change."""
-    q, G = work.q, work.G
-    flat = work.H.reshape(len(G), -1)
-    for k in range(1, len(G)):
-        q[:k, k] = flat[:k] @ G[k].ravel()
-    return q
+    """dL/dP as one product, <h_i, g_j> for every i and j, into the
+    workspace's matrix.  Only the candidate entries i < j are meaningful:
+    coeff_gradients multiplies by p, which is exactly 0 elsewhere."""
+    H, G_t = work.HG
+    return np.dot(H, G_t, out=work.q)
 
 
 def forward(state: TrainState) -> np.ndarray:

@@ -1,12 +1,21 @@
+import dataclasses
 import json
+import os
 
 import numpy as np
 import pytest
 
 from restopo import experiments
 from restopo.cli import main as cli_main
+from restopo.dynamics import RecordOptions, integrate_gf
 from restopo.experiments import (ExperimentConfig, compare, figure_instance,
                                  load_record, parse_topology, render_compare, run)
+from restopo.network import Topology
+from restopo.oracles import lb_witness_init
+
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench")
 
 
 def read(path):
@@ -61,12 +70,39 @@ class TestConfig:
         ("custom", "lam", "0.5"),
         ("custom", "lr_c", "0.1"),
         ("custom", "rank_deficiency", 1.5),
+        # fields a preset does not read, or cannot use
+        ("topo-3layer", "K", 5),
+        ("depth-sweep", "K", 9),
+        ("lb-witness", "n", 8),
+        ("lb-witness", "K", 7),
+        ("topo-3layer", "topology", "0:1"),
+        ("depth-sweep", "ancre_mode", "outgoing"),
+        ("custom", "trunk", False),
+        ("depth-sweep", "trunk", False),
+        ("kdeep-extension", "trunk", False),
+        ("lb-witness", "trunk", False),
+        ("ub-witness", "trunk", False),
+        # fields of the wrong type
+        ("custom", "topology", 5),
+        ("custom", "preset", ["x"]),
+        ("custom", "output_dir", 5),
     ])
     def test_bad_field_raises_before_any_directory(self, tmp_path, preset, field, value):
         with pytest.raises(ValueError, match=field):
-            run(ExperimentConfig.for_preset(preset, output_dir=str(tmp_path),
-                                            **{field: value}))
+            run(ExperimentConfig.from_dict({"preset": preset, "output_dir": str(tmp_path),
+                                            field: value}))
         assert list(tmp_path.iterdir()) == []
+
+    def test_trunk_off_accepted_where_an_ancre_curve_trains(self):
+        for preset, extra in (("custom", dict(ancre_mode="outgoing")), ("topo-3layer", {}),
+                              ("ancre-lnn", {})):
+            assert not ExperimentConfig.for_preset(preset, trunk=False, **extra).trunk
+
+    def test_benchmark_workload_configs_accepted(self, monkeypatch):
+        monkeypatch.syspath_prepend(PERFBENCH)
+        import workloads
+        for workload in workloads.WORKLOADS:
+            assert workloads.setup(workload, 1, "tiny")
 
     @pytest.mark.parametrize("optimizer", ["gf-euler", "gf-rk4"])
     def test_lr_c_rejected_under_gradient_flow(self, tmp_path, optimizer):
@@ -80,7 +116,6 @@ class TestConfig:
 
     def test_round_trips_through_json(self):
         cfg = ExperimentConfig.for_preset("ub-witness", seed=3)
-        import dataclasses
         again = ExperimentConfig.from_dict(dataclasses.asdict(cfg))
         assert again == cfg
 
@@ -110,6 +145,22 @@ class TestInstances:
         assert parse_topology("none", 3).shortcuts == frozenset()
         assert parse_topology("cascaded", 2).shortcuts == frozenset({(0, 1), (1, 2)})
         assert parse_topology("0:1+2:3", 3).shortcuts == frozenset({(0, 1), (2, 3)})
+
+
+class TestInvariantChecks:
+    def test_lower_bound_envelope_fails_where_convergence_is_exponential(self):
+        # the lb instance under its own 0:1 shortcut stays above the
+        # envelope; under 0:2 it converges exponentially and falls below
+        state, diag0 = lb_witness_init(4, 2, 1)
+        values = {}
+        for topology in (Topology.single(0, 1, 3), Topology.single(0, 2, 3)):
+            traj, _ = integrate_gf(dataclasses.replace(state, topology=topology), 1e-3,
+                                   50.0, "euler", RecordOptions(record_every=100))
+            check = experiments._lower_bound_envelope_check(traj, float(diag0.a[-1]))
+            assert check["name"] == "lower_bound_envelope"
+            values[topology.label()] = check
+        assert values["0:1"]["passed"] and values["0:1"]["value"] > 1.0
+        assert not values["0:2"]["passed"] and values["0:2"]["value"] < 1e-12
 
 
 class TestRun:

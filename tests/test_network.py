@@ -177,6 +177,11 @@ class TestBackward:
         np.testing.assert_array_equal(wgrads, 0.0)
 
 
+# h_1's adjoint gathers the trunk's W_2^T delta_2 and the shortcuts into
+# layers 3 and 4
+THREE_READERS = Topology(K=4, shortcuts=frozenset({(1, 3), (1, 4)}))
+
+
 class TestFiniteDifferenceAgreement:
     @pytest.mark.parametrize("topology,nonlinearity", [
         (Topology.none(2), "none"),
@@ -189,6 +194,17 @@ class TestFiniteDifferenceAgreement:
                         seed=topology.K)
         vec, evaluate, analytic = pack_state(st)
         fd = fd_gradient(evaluate, vec)
+        an = analytic(vec)
+        rel = np.abs(an - fd) / (np.abs(an) + np.abs(fd) + 1e-12)
+        assert rel.max() <= 1e-6
+
+    @pytest.mark.parametrize("nonlinearity", ["none", "tanh"])
+    def test_source_read_by_the_trunk_and_two_shortcuts(self, nonlinearity):
+        st = make_state(K=4, topology=THREE_READERS, nonlinearity=nonlinearity, seed=4)
+        vec, evaluate, analytic = pack_state(st)
+        # eps 1e-4: at the default 1e-6 the difference's roundoff (about
+        # 3e-9 here) exceeds 1e-6 of the smallest entry (1.1e-3)
+        fd = fd_gradient(evaluate, vec, eps=1e-4)
         an = analytic(vec)
         rel = np.abs(an - fd) / (np.abs(an) + np.abs(fd) + 1e-12)
         assert rel.max() <= 1e-6
@@ -325,6 +341,40 @@ class TestWorkspace:
                 assert got[0][m] == solo[0]
                 np.testing.assert_array_equal(got[1][m], solo[1])
 
+    @pytest.mark.parametrize("nonlinearity", ["none", "tanh"])
+    def test_stacked_source_read_three_times_matches_solo(self, nonlinearity):
+        topologies = [THREE_READERS, Topology.cascaded(4), Topology.none(4),
+                      Topology(K=4, shortcuts=frozenset({(0, 2), (1, 4), (3, 4)}))]
+        base = make_state(K=4, seed=6)
+        states = [TrainState(weights=make_state(K=4, seed=s).weights, X=base.X, Y=base.Y,
+                             topology=t, nonlinearity=nonlinearity)
+                  for s, t in enumerate(topologies)]
+        layout = stack_layouts([t.layout for t in topologies])
+        weights = np.array([s.weights for s in states])
+        work = Workspace(states[0], weights.shape, layout)
+        value, wgrads, _ = loss_and_gradients(states[0], weights, None, layout, work)
+        for m, st in enumerate(states):
+            solo = loss_and_gradients(st)
+            assert value[m] == solo[0]
+            np.testing.assert_array_equal(wgrads[m], solo[1])
+
+    @pytest.mark.parametrize("mode", ["ingoing", "outgoing"])
+    @pytest.mark.parametrize("trunk", [True, False])
+    def test_reuse_after_a_nonfinite_eval(self, mode, trunk):
+        # an overflowing pass fills the buffers with inf and nan; the next
+        # finite pass must not read any of them, dL/dP's row and column 0
+        # included
+        st = make_state(K=4, ancre=_mixing(4, mode, 5), trunk=trunk, seed=11)
+        work = Workspace(st, st.weights.shape)
+        with np.errstate(all="ignore"):
+            bad = loss_and_gradients(st, 1e120 * st.weights, work=work)
+        assert not np.isfinite(bad[0])
+        got = loss_and_gradients(st, work=work)
+        want = loss_and_gradients(st)
+        assert got[0] == want[0]
+        np.testing.assert_array_equal(got[1], want[1])
+        np.testing.assert_array_equal(got[2], want[2])
+
     def test_gradients_valid_until_the_next_eval(self):
         st = make_state(seed=3, **WORKSPACE_CASES["ingoing"])
         work = Workspace(st, st.weights.shape)
@@ -371,6 +421,14 @@ class TestTrainStateValidation:
         with pytest.raises(ValueError, match="exactly one layout"):
             TrainState(weights=st.weights, X=st.X, Y=st.Y,
                        topology=Topology.none(3), ancre=AncreParams.uniform(3))
+
+    def test_trunk_off_needs_learned_mixing(self):
+        st = make_state()
+        with pytest.raises(ValueError, match="trunk"):
+            TrainState(weights=st.weights, X=st.X, Y=st.Y,
+                       topology=Topology.single(0, 2, 3), trunk=False)
+        TrainState(weights=st.weights, X=st.X, Y=st.Y, ancre=AncreParams.uniform(3),
+                   trunk=False)
 
     def test_depth_mismatch(self):
         st = make_state()

@@ -42,3 +42,17 @@ def test_tracer_survives_a_batched_run(spans, tmp_path):
     flops = tracer.eval_flops()
     assert isinstance(flops, int) and flops > 0
     assert tracer.span_totals()["network.eval"][0] > 0
+
+
+def test_every_mixing_eval_reaches_coeff_gradients(spans, tmp_path):
+    # ancre.coeff_gradients_calls reads the wrapped network.coeff_gradients;
+    # if the reverse pass stopped reaching it by that name, the count would
+    # read 0 without an error
+    tracer = spans.Tracer()
+    with tracer.installed(restopo):
+        restopo.experiments.run(restopo.experiments.ExperimentConfig.for_preset(
+            "custom", ancre_mode="outgoing", trunk=False, K=3, d=4, n=4, iters=5,
+            output_dir=str(tmp_path)))
+    totals = tracer.span_totals()
+    assert totals["network.eval"][0] > 0
+    assert totals["ancre.coeff_gradients"][0] == totals["network.eval"][0]
