@@ -1,11 +1,12 @@
 """Training dynamics: gradient descent, gradient-flow ODE integration,
 trajectory recording, and convergence-rate classification.
 
-A trajectory records loss and norm channels on a fixed stride.  For GD the
-time axis is the pseudo-time iteration * lr (the raw iteration index is
-kept alongside); for gradient flow it is ODE time.  Explicit Euler with
-step dt is the documented discrete stand-in for exact gradient flow; RK4
-re-evaluates full gradients at stage points for step-size studies.
+A trajectory records the loss, the weights' norms and, on request, the
+weights on a fixed stride.  For GD the time axis is the pseudo-time
+iteration * lr (the raw iteration index is kept alongside); for gradient
+flow it is ODE time.  Explicit Euler with step dt is the documented
+discrete stand-in for exact gradient flow; RK4 re-evaluates full
+gradients at stage points for step-size studies.
 
 One driver trains a batch of layouts on one instance: train_batch stacks
 states that share X, Y, depth, nonlinearity and layout kind along a
@@ -46,6 +47,7 @@ __all__ = [
     "integrate_gf",
     "train_batch",
     "classify_rate",
+    "balance_gap",
     "balance_drift",
 ]
 
@@ -57,11 +59,17 @@ METHODS = ("gd", "euler", "rk4")
 
 @dataclass
 class RecordOptions:
-    record_every: int = 10
-    spectral_w1w2: bool = False
-    balance_gap: bool = False
-    diagonals: bool = False
-    stop_below: float | None = None
+    record_every: int = 10                  # a record every this many steps and at the stop
+    weights: bool = False                   # records hold the (K, d, d) weights
+    stop_below: float | None = None         # stop once the loss is <= this; None: never
+
+    def __post_init__(self):
+        every, floor = self.record_every, self.stop_below
+        if isinstance(every, bool) or not isinstance(every, int) or every < 1:
+            raise ValueError(f"record_every must be a positive int, got {every!r}")
+        if floor is not None and (isinstance(floor, bool) or not isinstance(
+                floor, (int, float)) or not math.isfinite(floor)):
+            raise ValueError(f"stop_below must be None or a finite number, got {floor!r}")
 
 
 @dataclass
@@ -70,9 +78,7 @@ class Trajectory:
     iters: np.ndarray
     losses: np.ndarray
     weight_fro_norms: np.ndarray            # shape (records, K)
-    spectral_w1w2: np.ndarray | None = None
-    balance_gap: np.ndarray | None = None
-    diagonals: np.ndarray | None = None         # shape (records, K, d); diagnostic only
+    weights: np.ndarray | None = None       # shape (records, K, d, d); RecordOptions.weights
     # Why the run stopped: "budget" (it took all its steps), "floor" (the
     # loss reached RecordOptions.stop_below), "loss_blowup" (the loss
     # exceeded DIVERGENCE_THRESHOLD or was not finite) or "nonfinite_grad";
@@ -90,20 +96,11 @@ class Trajectory:
     def to_csv(self, extra: dict | None = None) -> str:
         """Serialize per the trajectory CSV contract: decimal text, 12
         significant digits, LF line endings, columns
-        t,iter,loss,fro_w1..fro_wK[,spec_w1w2][,balance_gap][,extras...]."""
-        K = self.weight_fro_norms.shape[1]
-        cols = ["t", "iter", "loss"] + [f"fro_w{k}" for k in range(1, K + 1)]
-        chans = [self.times, self.iters, self.losses] + \
-                [self.weight_fro_norms[:, k] for k in range(K)]
-        if self.spectral_w1w2 is not None:
-            cols.append("spec_w1w2")
-            chans.append(self.spectral_w1w2)
-        if self.balance_gap is not None:
-            cols.append("balance_gap")
-            chans.append(self.balance_gap)
-        for name, values in (extra or {}).items():
-            cols.append(name)
-            chans.append(np.asarray(values))
+        t,iter,loss,fro_w1..fro_wK[,extras...]."""
+        K, extra = self.weight_fro_norms.shape[1], extra or {}
+        cols = ["t", "iter", "loss"] + [f"fro_w{k}" for k in range(1, K + 1)] + list(extra)
+        chans = [self.times, self.iters, self.losses, *self.weight_fro_norms.T,
+                 *map(np.asarray, extra.values())]
         lines = [",".join(cols)]
         for row in range(len(self.times)):
             cells = []
@@ -140,9 +137,7 @@ class _Recorder:
         self.iters = np.empty(capacity, dtype=np.int64)
         self.losses = np.empty(capacity)
         self.fro = np.empty((capacity, K))
-        self.spec = np.empty(capacity) if options.spectral_w1w2 else None
-        self.gap = np.empty(capacity) if options.balance_gap else None
-        self.diag = np.empty((capacity, K, d)) if options.diagonals else None
+        self.weights = np.empty((capacity, K, d, d)) if options.weights else None
 
     def snapshot(self, it: int, value: float, weights: np.ndarray, fro: np.ndarray):
         """Record step `it`: its loss, the (K, d, d) weights and their
@@ -151,23 +146,18 @@ class _Recorder:
         self.iters[n] = it
         self.losses[n] = value
         self.fro[n] = fro
-        if self.spec is not None:
-            self.spec[n] = tensor.spectral_norm(weights[1] @ weights[0])
-        if self.gap is not None:
-            self.gap[n] = np.sum(weights[0] ** 2) - np.sum(weights[1] ** 2)
-        if self.diag is not None:
-            self.diag[n] = np.diagonal(weights, axis1=-2, axis2=-1)
+        if self.weights is not None:
+            self.weights[n] = weights
         self.n = n + 1
 
     def build(self, stop_reason: str, steps: int) -> Trajectory:
-        def filled(chan):
-            return None if chan is None else chan[:self.n].copy()
+        def filled(chan):  # no copy: the recorder is dropped once this returns
+            return None if chan is None else chan[:self.n]
 
         iters = filled(self.iters)
         return Trajectory(times=iters * self.time_scale, iters=iters,
                           losses=filled(self.losses), weight_fro_norms=filled(self.fro),
-                          spectral_w1w2=filled(self.spec), balance_gap=filled(self.gap),
-                          diagonals=filled(self.diag), stop_reason=stop_reason, steps=steps)
+                          weights=filled(self.weights), stop_reason=stop_reason, steps=steps)
 
 
 def _finite(grads: np.ndarray | None) -> bool:
@@ -483,10 +473,18 @@ def classify_rate(traj: Trajectory, tail_fraction: float = 0.5,
                        note=note)
 
 
+def balance_gap(weights: np.ndarray) -> np.ndarray:
+    """||W1||_F^2 - ||W2||_F^2 of each record of (records, K, d, d) weights,
+    a record at a time: no temporary of the size of `weights`."""
+    return np.fromiter((np.sum(w[0] ** 2) - np.sum(w[1] ** 2) for w in weights), float,
+                       len(weights))
+
+
 def balance_drift(traj: Trajectory) -> float:
-    """Max excursion of the recorded ||W1||_F^2 - ||W2||_F^2 gap from its
-    initial value.  The gap is exactly conserved under gradient flow for
-    the 0:2 layout, so the drift measures integrator error."""
-    if traj.balance_gap is None:
-        raise ValueError("trajectory has no balance_gap channel")
-    return float(np.max(np.abs(traj.balance_gap - traj.balance_gap[0])))
+    """Max excursion of the recorded weights' ||W1||_F^2 - ||W2||_F^2 gap
+    from its initial value.  The gap is exactly conserved under gradient
+    flow for the 0:2 layout, so the drift measures integrator error."""
+    if traj.weights is None:
+        raise ValueError("trajectory has no weights channel (RecordOptions.weights)")
+    gap = balance_gap(traj.weights)
+    return float(np.max(np.abs(gap - gap[0])))

@@ -43,10 +43,10 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from . import __version__
+from . import __version__, tensor
 from .ancre import MODES, AncreParams, candidate_pairs, heatmap, heatmap_csv
-from .dynamics import (RecordOptions, Trajectory, balance_drift, classify_rate,
-                       integrate_gf, run_gd, train_batch)
+from .dynamics import (RecordOptions, Trajectory, balance_drift, balance_gap,
+                       classify_rate, integrate_gf, run_gd, train_batch)
 from .network import Topology, TrainState
 from .oracles import (diag_integrate, lb_witness_init, lower_bound_curve,
                       ub_witness_init, upper_bound_curve)
@@ -87,9 +87,12 @@ KDEEP_PAIR_STEP = 0.4
 W1_SCALE = 0.01
 DEPTH_RANGE = (0.25, 0.4)
 
-# The config fields each preset does not read.  A value other than the
-# preset's default would be echoed in config.json yet change nothing, so
-# it is rejected.  custom reads the ANCRe fields only with an ancre_mode.
+# The config fields each preset does not read, or fixes.  A value other
+# than the preset's default would be echoed in config.json yet change
+# nothing, or break the preset's checks, so it is rejected.  custom reads
+# the ANCRe fields only with an ancre_mode, and every preset reads only its
+# optimizer's step fields.  The witnesses' checks (the diagonal oracle, the
+# drift halving) assume their own integrator, so they fix the optimizer.
 _ANCRE_ONLY = ("ancre_mode", "temperature", "trunk")
 _UNREAD = {
     "depth-sweep": ("K", "topology", "lam", "rank_deficiency") + _ANCRE_ONLY,
@@ -97,8 +100,9 @@ _UNREAD = {
     "topo-4layer": ("K", "topology", "lam"),
     "ancre-lnn": ("K", "topology", "lam"),
     "kdeep-extension": ("K", "topology", "lam") + _ANCRE_ONLY,
-    "lb-witness": ("K", "topology", "lam", "nonlinearity") + _ANCRE_ONLY,
-    "ub-witness": ("K", "topology", "rank_deficiency", "nonlinearity") + _ANCRE_ONLY,
+    "lb-witness": ("K", "topology", "lam", "nonlinearity", "optimizer") + _ANCRE_ONLY,
+    "ub-witness": ("K", "topology", "rank_deficiency", "nonlinearity",
+                   "optimizer") + _ANCRE_ONLY,
     "custom": ("lam",),
 }
 
@@ -197,15 +201,18 @@ class ExperimentConfig:
         if self.preset in ("lb-witness", "ub-witness") and self.n != self.d:
             raise ValueError(f"config field 'n' must equal d={self.d} under preset "
                              f"{self.preset!r}, whose data is X = I_d; got n={self.n}")
-        unread, where = _UNREAD[self.preset], f"preset {self.preset!r}"
+        where = f"preset {self.preset!r}"
+        unread = [(name, where) for name in _UNREAD[self.preset]]
         if self.preset == "custom" and self.ancre_mode is None:
-            unread, where = unread + _ANCRE_ONLY, where + " without 'ancre_mode'"
+            unread += [(name, where + " without 'ancre_mode'") for name in _ANCRE_ONLY]
+        steps = ("dt", "t_end") if self.optimizer == "gd" else ("lr", "iters")
+        unread += [(name, f"optimizer {self.optimizer!r}") for name in steps]
         defaults = {f.name: f.default for f in fields(self)} | PRESETS[self.preset]
-        for name in unread:
+        for name, where in unread:
             value = getattr(self, name)
             if value != defaults[name]:
-                raise ValueError(f"config field {name!r} is not used by {where}; it must "
-                                 f"keep its default {defaults[name]!r}, got {value!r}")
+                raise ValueError(f"config field {name!r} is not read or is fixed by {where}; "
+                                 f"it must keep its default {defaults[name]!r}, got {value!r}")
 
     @classmethod
     def for_preset(cls, preset: str, **overrides) -> "ExperimentConfig":
@@ -341,19 +348,20 @@ def _train(cfg: ExperimentConfig, states: list, options: RecordOptions) -> list:
 
 
 def _curve(cfg: ExperimentConfig, record: dict, files: dict, curves: list,
-           extra=None, **channels) -> list[tuple[Trajectory, TrainState]]:
+           extra=None, weights: bool = False) -> list[tuple[Trajectory, TrainState]]:
     """Train the (name, state) pairs of `curves` as one batch, then put each
     curve's CSV text in `files` and its entry in record["curves"] under its
     name, in order; returns the (trajectory, final state) pairs.
 
-    `channels` switch on optional RecordOptions channels; `extra`, if given,
-    maps the recorded times to further CSV columns {name: values}."""
-    options = RecordOptions(record_every=cfg.record_every, stop_below=cfg.stop_below,
-                            **channels)
+    `weights` records each record's weights (RecordOptions.weights);
+    `extra`, if given, maps a trajectory to further CSV columns
+    {name: values}."""
+    options = RecordOptions(record_every=cfg.record_every, weights=weights,
+                            stop_below=cfg.stop_below)
     results = _train(cfg, [state for _, state in curves], options)
     for (name, _), (traj, _) in zip(curves, results):
         csv_name = "trajectory_" + name.replace(":", "-") + ".csv"
-        files[csv_name] = traj.to_csv(extra=extra(traj.times) if extra else None)
+        files[csv_name] = traj.to_csv(extra=extra(traj) if extra else None)
         verdict, verdict_error = _verdict(traj)
         record["curves"][name] = {
             "trajectory_csv": csv_name,
@@ -403,7 +411,38 @@ def _lower_bound_envelope_check(traj: Trajectory, a_d0: float) -> dict:
                   note="min L(t) / (0.99 * envelope)")
 
 
+def _w2w1_spectral_norms(weights: np.ndarray) -> np.ndarray:
+    """||W2 W1||_2 of each record of (records, K, d, d) weights, each through
+    tensor.spectral_norm looked up at call time, the name the benchmark's
+    tracer wraps."""
+    return np.array([tensor.spectral_norm(w[1] @ w[0]) for w in weights])
+
+
+def _spectral_norm_containment_check(spec: np.ndarray, lam: float) -> dict:
+    """The upper-bound witness's containment: ||W2 W1||_2, given per record
+    in `spec`, stays at or below lam along the flow, as the linear-rate
+    proof needs and a delta-compliant initialization ensures."""
+    return _check("spectral_norm_containment", float(np.max(spec)), lam, "<=",
+                  note="max ||W2 W1||_2 along the flow")
+
+
+def _balance_drift_halving_checks(drifts: dict) -> list[dict]:
+    """Explicit Euler's balance drift is first order in the step: for each
+    step dt of `drifts` ({dt: drift}, keyed by successive halvings) but the
+    last, drift(dt) / drift(dt/2) lies in [1.6, 2.4].  A drift at roundoff
+    level, as under RK4, gives ratios of no order and fails."""
+    dts, checks = list(drifts), []
+    for dt, half in zip(dts, dts[1:]):
+        r = drifts[dt] / drifts[half] if drifts[half] > 0 else float("inf")
+        checks.append(_check(f"balance_drift_halving_dt_{dt:g}", abs(r - 2.0), 0.4, "<=",
+                             note=f"drift({dt:g})/drift({half:g}) = {r:.4f}, "
+                                  f"must lie in [1.6, 2.4]"))
+    return checks
+
+
 def _w3_growth_check(traj: Trajectory, L0: float) -> dict:
+    """||W3(t)||_F grows by at most sqrt(t L0) (plus 1e-3) along gradient
+    flow from an initial loss L0."""
     fro3 = traj.weight_fro_norms[:, 2]
     cap = fro3[0] + np.sqrt(np.maximum(traj.times, 0.0) * L0) + 1e-3
     return _check("w3_frobenius_growth", float(np.max(fro3 - cap)), 0.0, "<=",
@@ -504,17 +543,18 @@ def _run_lb_witness(cfg: ExperimentConfig, record: dict, files: dict):
     record["witness"] = {"a_d0": a_d0, "rank_A": rank_A,
                          "w_d0": float(diag0.w[-1]), "u_d0": float(diag0.u[-1])}
 
-    [(traj, _)] = _curve(cfg, record, files, [("gf", state.copy())], diagonals=True,
-                         extra=lambda t: {"lb_env": lower_bound_curve(a_d0, t)})
+    [(traj, _)] = _curve(cfg, record, files, [("gf", state.copy())], weights=True,
+                         extra=lambda traj: {"lb_env": lower_bound_curve(a_d0, traj.times)})
 
     checks = record["invariant_checks"]
     checks.append(_lower_bound_envelope_check(traj, a_d0))
 
     oracle = diag_integrate(diag0, cfg.dt, cfg.t_end, method="rk4",
                             record_every=cfg.record_every)
-    full_w = traj.diagonals[:, 0, :] + 1.0
-    full_u = traj.diagonals[:, 1, :]
-    full_v = traj.diagonals[:, 2, :]
+    diagonals = np.diagonal(traj.weights, axis1=-2, axis2=-1)
+    full_w = diagonals[:, 0, :] + 1.0
+    full_u = diagonals[:, 1, :]
+    full_v = diagonals[:, 2, :]
     rel = 0.0
     for full, orc in ((full_w, oracle.w), (full_u, oracle.u), (full_v, oracle.v)):
         rel = max(rel, float(np.max(np.abs(full - orc) /
@@ -553,10 +593,17 @@ def _run_ub_witness(cfg: ExperimentConfig, record: dict, files: dict):
     init_norms = [float(np.linalg.norm(w)) for w in state.weights]
     w12_0 = init_norms[0] ** 2 + init_norms[1] ** 2
 
-    [(traj, _)] = _curve(cfg, record, files, [("gf", state.copy())], spectral_w1w2=True,
-                         balance_gap=True,
-                         extra=lambda t: {"ub_env": upper_bound_curve(L0, cfg.lam, t)})
-    env = upper_bound_curve(L0, cfg.lam, traj.times)
+    columns = {}  # the CSV's extra columns, kept for the checks below
+
+    def ub_columns(traj):
+        columns.update(spec_w1w2=_w2w1_spectral_norms(traj.weights),
+                       balance_gap=balance_gap(traj.weights),
+                       ub_env=upper_bound_curve(L0, cfg.lam, traj.times))
+        return columns
+
+    [(traj, _)] = _curve(cfg, record, files, [("gf", state.copy())], extra=ub_columns,
+                         weights=True)
+    env = columns["ub_env"]
 
     checks = record["invariant_checks"]
     checks.append(_check("delta_compliant_init", float(max(init_norms)),
@@ -565,9 +612,7 @@ def _run_ub_witness(cfg: ExperimentConfig, record: dict, files: dict):
     checks.append(_check("upper_bound_envelope", float(np.max(traj.losses / env)),
                          1.05, "<=",
                          note="max L(t) / envelope; 1.05 slack per contract"))
-    checks.append(_check("spectral_norm_containment",
-                         float(np.max(traj.spectral_w1w2)), cfg.lam, "<=",
-                         note="max ||W2 W1||_2 along the flow"))
+    checks.append(_spectral_norm_containment_check(columns["spec_w1w2"], cfg.lam))
     M = (2.0 * np.sqrt(2.0 * L0) * init_norms[2] / (1.0 - cfg.lam) ** 2
          + np.sqrt(2.0 * np.pi) * L0 / (1.0 - cfg.lam) ** 3)
     w12 = traj.weight_fro_norms[:, 0] ** 2 + traj.weight_fro_norms[:, 1] ** 2
@@ -579,16 +624,12 @@ def _run_ub_witness(cfg: ExperimentConfig, record: dict, files: dict):
 
     drifts = {}
     for dt in (2e-3, 1e-3, 5e-4, 2.5e-4):
-        dtraj, _ = integrate_gf(state.copy(), dt, 5.0, "euler",
-                                RecordOptions(record_every=10, balance_gap=True))
-        drifts[dt] = balance_drift(dtraj)
+        # each run's recorded weights are dropped once its drift is taken, so
+        # at most one run's weights are held at a time
+        drifts[dt] = balance_drift(integrate_gf(
+            state.copy(), dt, 5.0, "euler", RecordOptions(record_every=10, weights=True))[0])
     record["witness"]["balance_drifts"] = {f"{dt:g}": drifts[dt] for dt in drifts}
-    for dt in (2e-3, 1e-3, 5e-4):
-        r = drifts[dt] / drifts[dt / 2] if drifts[dt / 2] > 0 else float("inf")
-        mid = abs(r - 2.0)
-        checks.append(_check(f"balance_drift_halving_dt_{dt:g}", mid, 0.4, "<=",
-                             note=f"drift({dt:g})/drift({dt/2:g}) = {r:.4f}, "
-                                  f"must lie in [1.6, 2.4]"))
+    checks.extend(_balance_drift_halving_checks(drifts))
 
 
 _PRESET_RUNNERS = {

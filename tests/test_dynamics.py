@@ -157,6 +157,27 @@ class TestTextbookUpdate:
                                                                       0.05)[0])
 
 
+class TestRecordOptions:
+    @pytest.mark.parametrize("bad,match", [
+        (dict(record_every=0), "record_every"),
+        (dict(record_every=-2), "record_every"),
+        (dict(record_every=2.5), "record_every"),
+        (dict(record_every=True), "record_every"),
+        (dict(stop_below=float("nan")), "stop_below"),  # no loss is <= nan: never stops
+        (dict(stop_below=float("inf")), "stop_below"),
+        (dict(stop_below="1e-6"), "stop_below"),
+        (dict(stop_below=True), "stop_below"),
+    ])
+    def test_bad_option_rejected_at_construction(self, bad, match):
+        with pytest.raises(ValueError, match=match):
+            RecordOptions(**bad)
+
+    def test_good_options_accepted(self):
+        for good in (dict(), dict(record_every=1, stop_below=0), dict(stop_below=1e-26),
+                     dict(stop_below=None, weights=True)):
+            RecordOptions(**good)
+
+
 class TestRunGd:
     def test_matches_repeated_gd_step(self):
         # three runs of one step equal one run of three, bit for bit, for a
@@ -194,12 +215,12 @@ class TestRunGd:
 
     def test_determinism_bitwise(self):
         a, _ = run_gd(small_state(seed=8), lr=0.03, iters=500,
-                      options=RecordOptions(balance_gap=True))
+                      options=RecordOptions(weights=True))
         b, _ = run_gd(small_state(seed=8), lr=0.03, iters=500,
-                      options=RecordOptions(balance_gap=True))
+                      options=RecordOptions(weights=True))
         np.testing.assert_array_equal(a.losses, b.losses)
         np.testing.assert_array_equal(a.weight_fro_norms, b.weight_fro_norms)
-        np.testing.assert_array_equal(a.balance_gap, b.balance_gap)
+        np.testing.assert_array_equal(a.weights, b.weights)
 
     def test_times_strictly_increasing(self):
         traj, _ = run_gd(small_state(seed=9), lr=0.05, iters=200)
@@ -330,15 +351,15 @@ class TestIntegrateGf:
     @pytest.mark.parametrize("method", ["euler", "rk4"])
     def test_a_second_run_leaves_the_first_results_alone(self, method):
         st = ancre_state(seed=14)
-        options = RecordOptions(record_every=1, balance_gap=True, diagonals=True)
+        options = RecordOptions(record_every=1, weights=True)
         traj, final = integrate_gf(st, 0.01, 0.05, method, options)
-        kept = [a.copy() for a in (traj.losses, traj.weight_fro_norms, traj.balance_gap,
-                                   traj.diagonals, final.weights, final.ancre.c)]
+        kept = [a.copy() for a in (traj.losses, traj.weight_fro_norms, traj.weights,
+                                   final.weights, final.ancre.c)]
         initial = st.weights.copy()
         integrate_gf(st, 0.02, 0.1, method, options)
         integrate_gf(final, 0.01, 0.05, method, options)
-        for a, b in zip((traj.losses, traj.weight_fro_norms, traj.balance_gap,
-                         traj.diagonals, final.weights, final.ancre.c), kept):
+        for a, b in zip((traj.losses, traj.weight_fro_norms, traj.weights,
+                         final.weights, final.ancre.c), kept):
             np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(st.weights, initial)
         assert np.any(final.weights != initial)
@@ -390,12 +411,12 @@ class TestClassifyRate:
 class TestBalanceDrift:
     def test_missing_channel_rejected(self):
         traj, _ = run_gd(small_state(), lr=0.01, iters=10)
-        with pytest.raises(ValueError, match="balance_gap"):
+        with pytest.raises(ValueError, match="weights"):
             balance_drift(traj)
 
     def test_frozen_run_has_zero_drift(self):
         traj, _ = run_gd(small_state(), lr=0.01, iters=0,
-                         options=RecordOptions(balance_gap=True))
+                         options=RecordOptions(weights=True))
         assert balance_drift(traj) == 0.0
 
     def test_drift_halves_with_dt(self):
@@ -403,8 +424,7 @@ class TestBalanceDrift:
         drifts = {}
         for dt in (2e-3, 1e-3):
             traj, _ = integrate_gf(state.copy(), dt=dt, t_end=5.0, method="euler",
-                                   options=RecordOptions(record_every=10,
-                                                         balance_gap=True))
+                                   options=RecordOptions(record_every=10, weights=True))
             drifts[dt] = balance_drift(traj)
         assert 1.6 <= drifts[2e-3] / drifts[1e-3] <= 2.4
 
@@ -413,11 +433,11 @@ class TestTrajectoryCsv:
     def test_columns_and_formatting(self):
         st = small_state(seed=11)
         traj, _ = run_gd(st, lr=0.01, iters=20,
-                         options=RecordOptions(record_every=10, spectral_w1w2=True,
-                                               balance_gap=True))
+                         options=RecordOptions(record_every=10, weights=True))
         text = traj.to_csv(extra={"ub_env": np.ones(len(traj))})
         lines = text.splitlines()
-        assert lines[0] == "t,iter,loss,fro_w1,fro_w2,fro_w3,spec_w1w2,balance_gap,ub_env"
+        # recorded weights add no column; extras follow the norms in order
+        assert lines[0] == "t,iter,loss,fro_w1,fro_w2,fro_w3,ub_env"
         assert len(lines) == 1 + len(traj)
         first = lines[1].split(",")
         assert first[1] == "0"

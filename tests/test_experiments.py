@@ -7,11 +7,11 @@ import pytest
 
 from restopo import experiments
 from restopo.cli import main as cli_main
-from restopo.dynamics import RecordOptions, integrate_gf
+from restopo.dynamics import RecordOptions, balance_drift, integrate_gf
 from restopo.experiments import (ExperimentConfig, compare, figure_instance,
                                  load_record, parse_topology, render_compare, run)
 from restopo.network import Topology
-from restopo.oracles import lb_witness_init
+from restopo.oracles import lb_witness_init, ub_witness_init
 
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -82,6 +82,14 @@ class TestConfig:
         ("kdeep-extension", "trunk", False),
         ("lb-witness", "trunk", False),
         ("ub-witness", "trunk", False),
+        # the step fields of the optimizer a config does not use
+        ("custom", "dt", 0.5),
+        ("custom", "t_end", 0.5),
+        ("ub-witness", "lr", 0.5),
+        ("lb-witness", "iters", 100),
+        # the witnesses' checks assume their own integrator
+        ("lb-witness", "optimizer", "gd"),
+        ("ub-witness", "optimizer", "gf-rk4"),
         # fields of the wrong type
         ("custom", "topology", 5),
         ("custom", "preset", ["x"]),
@@ -162,6 +170,57 @@ class TestInvariantChecks:
         assert values["0:1"]["passed"] and values["0:1"]["value"] > 1.0
         assert not values["0:2"]["passed"] and values["0:2"]["value"] < 1e-12
 
+    def test_spectral_norm_containment_fails_from_a_non_compliant_init(self):
+        # from the delta-compliant witness init ||W2 W1||_2 stays near 0;
+        # from W1 = -W2 = I/2 and W3 = 2I (norms far above delta) it starts
+        # at 0.25 < lam and grows past lam along the flow
+        state, _, _, _ = ub_witness_init(4, 0.5, 1)
+        values = {}
+        for label, weights in (("compliant", state.weights),
+                               ("non-compliant", np.array([0.5, -0.5, 2.0])[:, None, None]
+                                * np.eye(4))):
+            traj, _ = integrate_gf(dataclasses.replace(state, weights=weights), 1e-3, 2.0,
+                                   "euler", RecordOptions(record_every=10, weights=True))
+            spec = experiments._w2w1_spectral_norms(traj.weights)
+            assert spec.shape == (len(traj),)
+            values[label] = (spec[0], experiments._spectral_norm_containment_check(spec, 0.5))
+        assert values["compliant"][1]["passed"] and values["compliant"][1]["value"] < 1e-3
+        start, check = values["non-compliant"]
+        assert check["name"] == "spectral_norm_containment"
+        assert start < 0.5 and not check["passed"] and check["value"] > 0.8
+        # the product is W2 W1: here W2 W1 = 0 while ||W1 W2||_2 = 1
+        e11, e12 = np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([[0.0, 1.0], [0.0, 0.0]])
+        assert experiments._w2w1_spectral_norms(np.array([[e11, e12, e11]])).tolist() == [0.0]
+
+    def test_balance_drift_halving_fails_at_roundoff_drift(self):
+        # Euler's drift halves with dt; RK4's conserves the gap to roundoff,
+        # so its drift ratios have no order and every halving check fails
+        state, _, _, _ = ub_witness_init(4, 0.5, 1)
+        passed = {}
+        for method in ("euler", "rk4"):
+            drifts = {dt: balance_drift(integrate_gf(
+                          state.copy(), dt, 5.0, method,
+                          RecordOptions(record_every=10, weights=True))[0])
+                      for dt in (2e-3, 1e-3, 5e-4, 2.5e-4)}
+            checks = experiments._balance_drift_halving_checks(drifts)
+            assert [c["name"] for c in checks] == [
+                "balance_drift_halving_dt_0.002", "balance_drift_halving_dt_0.001",
+                "balance_drift_halving_dt_0.0005"]
+            passed[method] = [c["passed"] for c in checks]
+        assert passed == {"euler": [True] * 3, "rk4": [False] * 3}
+
+    def test_w3_growth_fails_when_w3_outgrows_its_cap(self):
+        # the lb witness's W3 grows from 0.48 to 0.85 by t=2, inside the
+        # cap ||W3(0)|| + sqrt(t L0) + 1e-3, whose slack is least at t=0;
+        # against a tenth of L0 the same growth breaks the cap at t > 0
+        state, _ = lb_witness_init(4, 2, 1)
+        traj, _ = integrate_gf(state, 1e-3, 2.0, "euler", RecordOptions(record_every=10))
+        L0 = float(traj.losses[0])
+        check = experiments._w3_growth_check(traj, L0)
+        assert check["name"] == "w3_frobenius_growth"
+        assert check["passed"] and check["value"] == pytest.approx(-1e-3)
+        assert not experiments._w3_growth_check(traj, 0.1 * L0)["passed"]
+
 
 class TestRun:
     def test_zero_iters_gives_single_point_stalled(self, tmp_path):
@@ -212,6 +271,17 @@ class TestRun:
         lines = path.read_text().splitlines()
         assert lines[0] == "j\\i,0,1,2,3"
         assert len(lines) == 5
+
+    @pytest.mark.parametrize("preset,t_end,header", [
+        ("ub-witness", 0.5, "t,iter,loss,fro_w1,fro_w2,fro_w3,spec_w1w2,balance_gap,ub_env"),
+        ("lb-witness", 0.1, "t,iter,loss,fro_w1,fro_w2,fro_w3,lb_env"),
+    ])
+    def test_witness_csv_header(self, tmp_path, preset, t_end, header):
+        rec = run(ExperimentConfig.for_preset(preset, t_end=t_end,
+                                              output_dir=str(tmp_path)))
+        lines = (tmp_path / f"{preset}_1" / "trajectory_gf.csv").read_text().splitlines()
+        assert lines[0] == header
+        assert len(lines) == 1 + rec["curves"]["gf"]["records"]
 
     def test_trajectory_csvs_are_byte_identical_across_runs(self, tmp_path):
         for sub in ("a", "b"):

@@ -120,21 +120,23 @@ class TestDiagIntegrate:
         state, diag0 = lb_witness_init(d=4, rank_A=2, seed=5)
         dt, t_end = 1e-3, 5.0
         traj, _ = integrate_gf(state, dt=dt, t_end=t_end, method="euler",
-                               options=RecordOptions(record_every=10, diagonals=True))
+                               options=RecordOptions(record_every=10, weights=True))
         oracle = diag_integrate(diag0, dt=dt, t_end=t_end, method="euler",
                                 record_every=10)
-        np.testing.assert_allclose(traj.diagonals[:, 0, :] + 1.0, oracle.w, atol=1e-12)
-        np.testing.assert_allclose(traj.diagonals[:, 1, :], oracle.u, atol=1e-12)
+        diagonals = np.diagonal(traj.weights, axis1=-2, axis2=-1)
+        np.testing.assert_allclose(diagonals[:, 0, :] + 1.0, oracle.w, atol=1e-12)
+        np.testing.assert_allclose(diagonals[:, 1, :], oracle.u, atol=1e-12)
 
     def test_full_matrix_rk4_matches_diag_rk4(self):
         state, diag0 = lb_witness_init(d=4, rank_A=2, seed=6)
         dt, t_end = 1e-3, 5.0
         traj, _ = integrate_gf(state, dt=dt, t_end=t_end, method="rk4",
-                               options=RecordOptions(record_every=10, diagonals=True))
+                               options=RecordOptions(record_every=10, weights=True))
         oracle = diag_integrate(diag0, dt=dt, t_end=t_end, method="rk4",
                                 record_every=10)
-        np.testing.assert_allclose(traj.diagonals[:, 0, :] + 1.0, oracle.w, atol=1e-10)
-        np.testing.assert_allclose(traj.diagonals[:, 2, :], oracle.v, atol=1e-10)
+        diagonals = np.diagonal(traj.weights, axis1=-2, axis2=-1)
+        np.testing.assert_allclose(diagonals[:, 0, :] + 1.0, oracle.w, atol=1e-10)
+        np.testing.assert_allclose(diagonals[:, 2, :], oracle.v, atol=1e-10)
 
     def test_rejects_bad_dt(self):
         s0 = DiagState(w=np.ones(1), u=np.ones(1), v=np.ones(1), sigma=np.ones(1))

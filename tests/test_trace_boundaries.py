@@ -56,3 +56,16 @@ def test_every_mixing_eval_reaches_coeff_gradients(spans, tmp_path):
     totals = tracer.span_totals()
     assert totals["network.eval"][0] > 0
     assert totals["ancre.coeff_gradients"][0] == totals["network.eval"][0]
+
+
+def test_every_ub_witness_record_reaches_spectral_norm(spans, tmp_path):
+    # tensor.spectral_norm_calls reads the wrapped tensor.spectral_norm: one
+    # call per record of the ub witness's gf curve, none elsewhere, so the
+    # count can neither read 0 nor double without failing here
+    tracer = spans.Tracer()
+    with tracer.installed(restopo):
+        record = restopo.experiments.run(restopo.experiments.ExperimentConfig.for_preset(
+            "ub-witness", t_end=0.5, output_dir=str(tmp_path)))
+    records = record["curves"]["gf"]["records"]
+    assert records == 51
+    assert tracer.span_totals()["tensor.spectral_norm"][0] == records
