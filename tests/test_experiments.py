@@ -82,6 +82,10 @@ class TestConfig:
         ("kdeep-extension", "trunk", False),
         ("lb-witness", "trunk", False),
         ("ub-witness", "trunk", False),
+        # fields of the wrong type
+        ("custom", "topology", 5),
+        ("custom", "preset", ["x"]),
+        ("custom", "output_dir", 5),
         # the step fields of the optimizer a config does not use
         ("custom", "dt", 0.5),
         ("custom", "t_end", 0.5),
@@ -90,10 +94,6 @@ class TestConfig:
         # the witnesses' checks assume their own integrator
         ("lb-witness", "optimizer", "gd"),
         ("ub-witness", "optimizer", "gf-rk4"),
-        # fields of the wrong type
-        ("custom", "topology", 5),
-        ("custom", "preset", ["x"]),
-        ("custom", "output_dir", 5),
     ])
     def test_bad_field_raises_before_any_directory(self, tmp_path, preset, field, value):
         with pytest.raises(ValueError, match=field):
