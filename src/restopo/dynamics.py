@@ -37,7 +37,7 @@ from . import tensor
 # tracer (perfbench/spans.py) wraps `dynamics.normalize` by name, and
 # `--trace 1` fails with a KeyError where the name is missing.
 from .ancre import normalize  # noqa: F401
-from .network import TrainState, Workspace, loss_and_gradients, loss_only, stack_layouts
+from .network import TrainState, Workspace, loss_and_gradients, stack_layouts
 
 __all__ = [
     "RecordOptions",
@@ -266,10 +266,6 @@ class _Active:
                                                    self.layout, self.work)
         return [value] if self.lone else value.tolist(), wgrads, cgrads
 
-    def losses(self) -> list:
-        value = loss_only(self.state, self.weights, self.coeffs, self.layout, self.work)
-        return [value] if self.lone else value.tolist()
-
     def rows(self, a: np.ndarray | None) -> np.ndarray | None:
         """a with a leading member axis."""
         return a[None] if self.lone and a is not None else a
@@ -294,7 +290,8 @@ def _drive(states, method: str, step: float, n_steps: int, lr_c: float | None,
     the members whose loss blew up or reached the floor, whose budget is
     spent, or whose gradient is not finite; a stopped member keeps the
     parameters it stopped with.  The rest take the method's update in
-    place.  The budget step evaluates the loss alone."""
+    place.  The budget step's gradients are computed but neither used nor
+    checked."""
     options = options or RecordOptions()
     step_c = step if lr_c is None else lr_c
     update = _rk4 if method == "rk4" else _descend
@@ -306,10 +303,7 @@ def _drive(states, method: str, step: float, n_steps: int, lr_c: float | None,
 
     for it in range(n_steps + 1):
         budget = it == n_steps
-        if budget:
-            values, wgrads, cgrads = active.losses(), None, None
-        else:
-            values, wgrads, cgrads = active.grad(active.weights, active.coeffs)
+        values, wgrads, cgrads = active.grad(active.weights, active.coeffs)
         stops = {}
         for row, v in enumerate(values):
             if not v <= DIVERGENCE_THRESHOLD:

@@ -442,11 +442,13 @@ def _balance_drift_halving_checks(drifts: dict) -> list[dict]:
 
 def _w3_growth_check(traj: Trajectory, L0: float) -> dict:
     """||W3(t)||_F grows by at most sqrt(t L0) (plus 1e-3) along gradient
-    flow from an initial loss L0."""
-    fro3 = traj.weight_fro_norms[:, 2]
-    cap = fro3[0] + np.sqrt(np.maximum(traj.times, 0.0) * L0) + 1e-3
-    return _check("w3_frobenius_growth", float(np.max(fro3 - cap)), 0.0, "<=",
-                  note="||W3(t)||_F vs ||W3(0)||_F + sqrt(t L0) + 1e-3")
+    flow from an initial loss L0: the largest ratio of that growth, less
+    1e-3, to sqrt(t L0) over the records after t = 0 is at most 1 (-inf
+    when no record follows t = 0)."""
+    fro3, later = traj.weight_fro_norms[:, 2], traj.times > 0
+    ratio = (fro3[later] - fro3[0] - 1e-3) / np.sqrt(traj.times[later] * L0)
+    return _check("w3_frobenius_growth", float(np.max(ratio, initial=-np.inf)), 1.0, "<=",
+                  note="max over t > 0 of (||W3(t)||_F - ||W3(0)||_F - 1e-3) / sqrt(t L0)")
 
 
 # ---------------------------------------------------------------------------

@@ -11,26 +11,31 @@ matrix (see ancre.py).  One recurrence serves both:
     h_j = act(W_j sum_i P[i, j] h_i)                  (trunk off, mixing only)
 
 So the single shortcut 0:2 on a 3-layer net realizes W3 (W2 W1 + I) X and
-the cascaded layout realizes prod_k (W_k + I) X.  The sum runs only over
-the nonzero entries of each column, resolved once per fixed layout.
+the cascaded layout realizes prod_k (W_k + I) X.  The sum runs over the
+span of a column from its first to its last source, as one product of
+that span of P with the hidden states, which are stored contiguously.
+In a lone fixed layout, a span of one source is added as it is: its
+coefficient is exactly 1, so the bits are the product's.
 
 A network is evaluated one way: loss_and_gradients runs the recurrence
 and its reverse pass together and returns the loss 0.5 ||h_K - Y||_F^2
 with exact gradients for every weight and, in mixing mode, every raw
-coefficient.  loss_only is its forward half; forward returns h_K alone
-(with X = I, the end-to-end map of a linear network).  A TrainState holds
-its weights as one float64 (K, d, d) array of its own.
+coefficient.  forward returns h_K alone (with X = I, the end-to-end map of
+a linear network).  A TrainState holds its weights as one float64
+(K, d, d) array of its own.
 
-The reverse pass mirrors the forward: where the forward sums a layer's
+The reverse pass mirrors the forward: where the forward mixes a layer's
 sources into its input, the reverse gathers each h_i's adjoint from the
-layers that read it, in one place and a fixed order.
+layers that read it, as one product of that span of row i of P with their
+source adjoints.
 
 Both passes run in a Workspace: the hidden states (h_0 = X written once),
 the adjoint stack, the weight-gradient buffer, their per-layer views and
-the layers that read each source, resolved once per workspace.  A training
-run builds one and passes it to every evaluation, so a small-d step pays
-for its numpy kernels and little else; a call without one builds its own
-and so returns fresh arrays.  It is the same pass either way, bit for bit.
+each layer's and each source's span, resolved once per workspace.  A
+training run builds one and passes it to every evaluation, so a small-d
+step pays for its numpy kernels and little else; a call without one builds
+its own and so returns fresh arrays.  It is the same pass either way, bit
+for bit.
 
 The recurrence also takes a leading curve axis: weights stacked as
 (B, K, d, d) under a stacked layout of B fixed layouts (stack_layouts)
@@ -56,7 +61,6 @@ __all__ = [
     "Workspace",
     "forward",
     "loss_and_gradients",
-    "loss_only",
     "stack_layouts",
 ]
 
@@ -65,17 +69,13 @@ class Layout(NamedTuple):
     """A coefficient matrix as the recurrence consumes it.
 
     sources[j] lists, ascending, the i whose entry matrix[i, j] layer j
-    reads; columns[j][i] is matrix[i, j] as a Python float.  params is the
-    softmax recipe when the matrix is learned, else None.
-
-    A stacked layout (stack_layouts) has a (B, K+1, K+1) matrix, sources[j]
-    the union of its members' sources, and columns[j][i] a (B, 1, 1) bool
-    array marking the members whose entry matrix[i, j] is 1.
+    reads; params is the softmax recipe when the matrix is learned, else
+    None.  A stacked layout (stack_layouts) has a (B, K+1, K+1) matrix and
+    sources[j] the union of its members' sources.
     """
 
     matrix: np.ndarray
     sources: tuple
-    columns: list
     trunk: bool = True
     params: AncreParams | None = None
 
@@ -121,7 +121,7 @@ class Topology:
             m[pair] = 1.0
         m.flags.writeable = False
         sources = tuple(tuple(np.flatnonzero(m[:, j]).tolist()) for j in range(self.K + 1))
-        return Layout(m, sources, m.T.tolist())
+        return Layout(m, sources)
 
     def label(self) -> str:
         if not self.shortcuts:
@@ -134,14 +134,10 @@ class Topology:
 def stack_layouts(layouts) -> Layout:
     """One layout for a batch of fixed layouts of one depth, in order."""
     matrix = np.stack([layout.matrix for layout in layouts])
-    if not np.all((matrix == 0.0) | (matrix == 1.0)):
-        raise ValueError("only fixed 0/1 layouts stack")
     K = matrix.shape[-1] - 1
     sources = tuple(tuple(np.flatnonzero(matrix[:, :, j].any(axis=0)).tolist())
                     for j in range(K + 1))
-    member = matrix.astype(bool)
-    columns = [[member[:, i, j, None, None] for i in range(K + 1)] for j in range(K + 1)]
-    return Layout(matrix, sources, columns)
+    return Layout(matrix, sources)
 
 
 @dataclass(frozen=True)
@@ -214,22 +210,7 @@ def _layout(state: TrainState, coeffs: np.ndarray | None = None) -> Layout:
         return state.topology.layout
     params = state.ancre
     p = normalize(params, coeffs)
-    return Layout(p, _all_sources(params.K), p.T.tolist(), state.trunk, params)
-
-
-def _put(dst: np.ndarray, c, x: np.ndarray, tmp: np.ndarray, first: bool) -> None:
-    """dst = c * x if first, else dst += c * x; in place.  A unit
-    coefficient (every fixed shortcut) skips the multiply; a stacked
-    layout's bool column keeps x for its members and gives the others exact
-    zeros, whatever their own x holds."""
-    if isinstance(c, np.ndarray):
-        x = np.where(c, x, 0.0)
-    elif c != 1.0:
-        x = np.multiply(x, c, out=tmp)
-    if first:
-        np.copyto(dst, x)
-    else:
-        dst += x
+    return Layout(p, _all_sources(params.K), state.trunk, params)
 
 
 def _by_layer(a: np.ndarray) -> np.ndarray:
@@ -242,6 +223,17 @@ def _transposed(stack) -> list:
     return [a.swapaxes(-1, -2) for a in stack]
 
 
+def _row(a: np.ndarray) -> np.ndarray:
+    """A (..., d, n) array as a (..., 1, dn) view: the out of a (..., 1, j)
+    span of P times (..., j, dn) hidden states."""
+    return a.reshape(a.shape[:-2] + (1, -1))
+
+
+def _span(rows: list) -> tuple:
+    """(first, last + 1) of ascending rows; (0, 0) when there are none."""
+    return (rows[0], rows[-1] + 1) if rows else (0, 0)
+
+
 class Workspace:
     """The buffers of repeated evaluations of one state at one parameter
     shape under one layout structure.
@@ -249,46 +241,58 @@ class Workspace:
     Built from a state (its X and nonlinearity), the shape of the weights
     it will be given ((K, d, d), or (B, K, d, d) for a stacked batch) and a
     layout (default: the state's own), it serves every loss_and_gradients
-    and loss_only call on that state at that shape under a layout with the
-    same sources and trunk (a learned layout's coefficient values may
-    change from call to call); other calls raise ValueError.  It holds the
-    hidden states H with h_0 = X written once, the adjoint stack, the
+    call on that state at that shape under a layout with the same sources,
+    trunk and kind, fixed or learned (a learned layout's coefficient values
+    may change from call to call); other calls raise ValueError.  It holds
+    the hidden states H with h_0 = X written once, the adjoint stack, the
     source adjoints G with g_0 = 0 written once, the trunk-off mixtures,
     the weight-gradient buffer, the per-layer views of these and of the
-    last two weight arrays it was given, and readers[i], the layers that
-    read source i, ascending.  The next evaluation overwrites all of them,
-    the returned weight gradients included; the loss and the coefficient
-    gradients are fresh objects.
+    last two weight arrays it was given, and member-major views Hm and Gm
+    of H and G, (K+1, dn) or (B, K+1, dn), in which a span of sources is
+    one matrix per member.  ins[k] is the span (first, last + 1) of layer
+    k's sources and outs[i] that of the layers reading source i.  The next
+    evaluation overwrites all of them, the returned weight gradients
+    included; the loss and the coefficient gradients are fresh objects.
     """
 
     def __init__(self, state: TrainState, shape: tuple, layout: Layout | None = None):
-        K = shape[-3]
-        hidden = (K + 1,) + tuple(shape[:-3]) + state.X.shape
+        K, batch = shape[-3], tuple(shape[:-3])
+        hidden = (K + 1,) + batch + state.X.shape
         layout = _layout(state) if layout is None else layout
         self.sources, self.trunk = layout.sources, layout.trunk
+        self.learned = layout.params is not None
         self.X, self.shape, self.tanh = state.X, tuple(shape), state.nonlinearity == "tanh"
         # The pass's matrix products: np.dot's call costs less than
         # np.matmul's, and a stacked batch needs matmul's broadcasting.  Both
         # reach the same BLAS product, so a member's bits are its solo pass's.
-        self.mm = np.dot if len(shape) == 3 else np.matmul
-        self.readers = [[j for j in range(i + 1, K + 1) if i in self.sources[j]]
-                        for i in range(K + 1)]
+        self.mm = np.dot if not batch else np.matmul
+        # A lone fixed layout's coefficients are exactly 1, so a span of one
+        # source is added as it is, with the product's bits: at d=128, n=256
+        # the one-row product and its add take 32 us, the add alone 8 us
+        # (2-vCPU x86-64 VM).
+        self.unit = not batch and not self.learned
+        self.ins = [_span(self.sources[k]) for k in range(K + 1)]
+        self.outs = [_span([j for j in range(i + 1, K + 1) if i in self.sources[j]])
+                     for i in range(K + 1)]
         self.H = np.empty(hidden)
         self.H[0] = state.X
         self.h, self.h_t = list(self.H), _transposed(self.H)
         adj = np.empty(hidden)
         self.tmp = np.empty(hidden[1:])
+        self.tmp_row = _row(self.tmp)
         # g_k, the adjoint of layer k's source sum, is its delta with the
         # trunk on and without tanh; else it needs a stack of its own.
         # h_0 = X has no adjoint: g_0 = 0 keeps dL/dP's column 0 exactly 0.
         G = adj if self.trunk and not self.tanh else np.empty(hidden)
         G[0] = 0.0
         self.adj, self.G = list(adj), list(G)
-        self.HG = (self.H.reshape(K + 1, -1), G.reshape(K + 1, -1).T)
+        self.Hm, self.Gm = (np.moveaxis(a.reshape((K + 1,) + batch + (-1,)), 0, -2)
+                            for a in (self.H, G))
         self.mix = None
         if not self.trunk:
             self.mix = list(np.empty(hidden))
             self.mix_t = _transposed(self.mix)
+            self.mix_rows, self.adj_rows = [_row(s) for s in self.mix], [_row(a) for a in adj]
             self.delta = np.empty(hidden[1:])
         self.grads = np.empty(shape)
         self.grad_layers = list(_by_layer(self.grads))
@@ -299,6 +303,7 @@ class Workspace:
         """Whether this workspace serves an evaluation of these arguments."""
         return (state.X is self.X and weights.shape == self.shape
                 and layout.trunk == self.trunk and layout.sources == self.sources
+                and (layout.params is not None) == self.learned
                 and (state.nonlinearity == "tanh") == self.tanh)
 
     def layers(self, weights: np.ndarray) -> tuple[list, list]:
@@ -315,21 +320,24 @@ class Workspace:
 
 def _forward_arrays(work: Workspace, weights: np.ndarray, layout: Layout) -> None:
     """The hidden recurrence, into work.h (h_0 = X is already there) and,
-    with the trunk off, the layer inputs s_k into work.mix."""
+    with the trunk off, the layer inputs s_k into work.mix.  Layer k's
+    shortcut term is P[..., lo:hi, k] times Hm[..., lo:hi, :] over its
+    span (lo, hi), added to the trunk's product with the trunk on."""
     W, _ = work.layers(weights)
-    h, tmp, mm = work.h, work.tmp, work.mm
+    h, Hm, tmp, mm, P = work.h, work.Hm, work.tmp, work.mm, layout.matrix
     for k in range(1, len(h)):
         z = h[k]
-        col = layout.columns[k]
+        lo, hi = work.ins[k]
         if layout.trunk:
             mm(W[k - 1], h[k - 1], out=z)
-            for i in layout.sources[k]:
-                _put(z, col[i], h[i], tmp, False)
+            if hi - lo == 1 and work.unit:
+                z += h[lo]
+            elif lo < hi:
+                mm(P[..., None, lo:hi, k], Hm[..., lo:hi, :], out=work.tmp_row)
+                z += tmp
         else:
-            s = work.mix[k]
-            for rank, i in enumerate(layout.sources[k]):
-                _put(s, col[i], h[i], tmp, rank == 0)
-            mm(W[k - 1], s, out=z)
+            mm(P[..., None, lo:hi, k], Hm[..., lo:hi, :], out=work.mix_rows[k])
+            mm(W[k - 1], work.mix[k], out=z)
         if work.tanh:
             np.tanh(z, out=z)
 
@@ -342,14 +350,15 @@ def _backward_arrays(work: Workspace, weights: np.ndarray, layout: Layout) -> np
     multiplies matrix[i, k] h_i in the loss, so dL/dmatrix[i, k] =
     <h_i, g_k>.  Once layer k's delta, weight gradient and g_k are known,
     every use of h_{k-1} has been visited, so h_{k-1}'s whole adjoint is
-    gathered there (k >= 2), as the forward sums a layer's input: the
-    trunk's W_k^T delta_k, then matrix[k-1, j] g_j for each layer j that
-    reads h_{k-1}, ascending.  Returns the weight gradients, shaped like
-    the weights, in the workspace's gradient buffer.
+    gathered there (k >= 2), as the forward mixes a layer's input: the
+    trunk's W_k^T delta_k plus P[..., k-1, lo:hi] times Gm[..., lo:hi, :]
+    over the span (lo, hi) of the layers that read h_{k-1}.  Returns the
+    weight gradients, shaped like the weights, in the workspace's gradient
+    buffer.
     """
     _, W_t = work.layers(weights)
-    h, h_t, adj, G, tmp, mm = work.h, work.h_t, work.adj, work.G, work.tmp, work.mm
-    out = work.grad_layers
+    h, h_t, adj, G, Gm = work.h, work.h_t, work.adj, work.G, work.Gm
+    tmp, mm, out, P = work.tmp, work.mm, work.grad_layers, layout.matrix
     for k in range(len(h) - 1, 0, -1):
         delta = adj[k]
         if work.tanh:
@@ -362,11 +371,17 @@ def _backward_arrays(work: Workspace, weights: np.ndarray, layout: Layout) -> np
             mm(delta, work.mix_t[k], out=out[k - 1])
             mm(W_t[k - 1], delta, out=G[k])
         if k > 1:
-            a = adj[k - 1]
+            lo, hi = work.outs[k - 1]
             if layout.trunk:
+                a = adj[k - 1]
                 mm(W_t[k - 1], delta, out=a)
-            for rank, j in enumerate(work.readers[k - 1]):
-                _put(a, layout.columns[j][k - 1], G[j], tmp, rank == 0 and not layout.trunk)
+                if hi - lo == 1 and work.unit:
+                    a += G[lo]
+                elif lo < hi:
+                    mm(P[..., k - 1:k, lo:hi], Gm[..., lo:hi, :], out=work.tmp_row)
+                    a += tmp
+            else:
+                mm(P[..., k - 1:k, lo:hi], Gm[..., lo:hi, :], out=work.adj_rows[k - 1])
     return work.grads
 
 
@@ -374,8 +389,7 @@ def _p_gradients(work: Workspace) -> np.ndarray:
     """dL/dP as one product, <h_i, g_j> for every i and j, into the
     workspace's matrix.  Only the candidate entries i < j are meaningful:
     coeff_gradients multiplies by p, which is exactly 0 elsewhere."""
-    H, G_t = work.HG
-    return np.dot(H, G_t, out=work.q)
+    return np.dot(work.Hm, work.Gm.T, out=work.q)
 
 
 def forward(state: TrainState) -> np.ndarray:
@@ -398,25 +412,6 @@ def _half_squared(r: np.ndarray):
     return 0.5 * np.array([np.vdot(m, m) for m in r])
 
 
-def _prepare(state, weights, coeffs, layout, work):
-    weights = state.weights if weights is None else weights
-    if layout is None:
-        layout = _layout(state, coeffs)
-    if work is None:
-        work = Workspace(state, weights.shape, layout)
-    elif not work.fits(state, weights, layout):
-        raise ValueError("the workspace was built for another state, parameter "
-                         "shape or layout structure")
-    return weights, layout, work
-
-
-def _residual_loss(state: TrainState, work: Workspace):
-    """The loss of the hidden states in work, leaving the residual h_K - Y
-    in work.adj[K]."""
-    r = np.subtract(work.h[-1], state.Y, out=work.adj[-1])
-    return _half_squared(r)
-
-
 def loss_and_gradients(state: TrainState, weights=None, coeffs=None,
                        layout: Layout | None = None, work: Workspace | None = None):
     """The loss 0.5 * ||h_K - Y||_F^2 and its exact gradients, from one
@@ -436,21 +431,19 @@ def loss_and_gradients(state: TrainState, weights=None, coeffs=None,
     weight gradients are its gradient buffer, valid until its next
     evaluation (see Workspace).
     """
-    weights, layout, work = _prepare(state, weights, coeffs, layout, work)
+    weights = state.weights if weights is None else weights
+    if layout is None:
+        layout = _layout(state, coeffs)
+    if work is None:
+        work = Workspace(state, weights.shape, layout)
+    elif not work.fits(state, weights, layout):
+        raise ValueError("the workspace was built for another state, parameter "
+                         "shape or layout structure")
     _forward_arrays(work, weights, layout)
-    value = _residual_loss(state, work)
+    # the residual h_K - Y is the reverse pass's start, work.adj[K]
+    value = _half_squared(np.subtract(work.h[-1], state.Y, out=work.adj[-1]))
     wgrads = _backward_arrays(work, weights, layout)
     cgrads = None
     if layout.params is not None:
         cgrads = coeff_gradients(layout.params, layout.matrix, _p_gradients(work))
     return value, wgrads, cgrads
-
-
-def loss_only(state: TrainState, weights=None, coeffs=None,
-              layout: Layout | None = None, work: Workspace | None = None):
-    """The loss of loss_and_gradients without its gradients (a forward pass
-    and the residual).  Unlike forward(), non-finite weights do not raise:
-    they give a non-finite loss."""
-    weights, layout, work = _prepare(state, weights, coeffs, layout, work)
-    _forward_arrays(work, weights, layout)
-    return _residual_loss(state, work)

@@ -4,7 +4,7 @@ import pytest
 from restopo.ancre import AncreParams
 from restopo.dynamics import (RecordOptions, Trajectory, balance_drift, classify_rate,
                               integrate_gf, run_gd, train_batch)
-from restopo.network import Topology, TrainState, forward, loss_and_gradients, loss_only
+from restopo.network import Topology, TrainState, forward, loss_and_gradients
 from restopo.oracles import ub_witness_init
 from restopo.tensor import make_rng, random_orthogonal_data
 
@@ -51,10 +51,10 @@ class TestGdStep:
 
     def test_descent_for_small_enough_lr(self):
         st = small_state(seed=3)
-        base = loss_only(st)
+        base = loss_and_gradients(st)[0]
         lr = 0.25
         for _ in range(20):
-            if loss_only(one_step(st, lr)) < base:
+            if loss_and_gradients(one_step(st, lr))[0] < base:
                 break
             lr *= 0.5
         else:

@@ -5,7 +5,7 @@ import pytest
 
 from restopo.ancre import AncreParams, candidate_pairs
 from restopo.network import (Topology, TrainState, Workspace, forward, loss_and_gradients,
-                             loss_only, stack_layouts)
+                             stack_layouts)
 from restopo.oracles import fd_gradient, pack_state
 from restopo.tensor import ShapeError, make_rng, random_orthogonal_data
 
@@ -295,6 +295,25 @@ WORKSPACE_CASES = {
 }
 
 
+def _assert_members_match_solo(topologies, nonlinearity, base_seed, first_seed=0):
+    """A stacked pass of the topologies, on base_seed's data and member m's
+    weights drawn from seed first_seed + m, gives each member its solo
+    pass's loss and weight gradients, bit for bit."""
+    K = topologies[0].K
+    base = make_state(K=K, seed=base_seed)
+    states = [TrainState(weights=make_state(K=K, seed=first_seed + s).weights, X=base.X,
+                         Y=base.Y, topology=t, nonlinearity=nonlinearity)
+              for s, t in enumerate(topologies)]
+    layout = stack_layouts([t.layout for t in topologies])
+    weights = np.array([s.weights for s in states])
+    work = Workspace(states[0], weights.shape, layout)
+    value, wgrads, _ = loss_and_gradients(states[0], weights, None, layout, work)
+    for m, st in enumerate(states):
+        solo = loss_and_gradients(st)
+        assert value[m] == solo[0]
+        np.testing.assert_array_equal(wgrads[m], solo[1])
+
+
 class TestWorkspace:
     """Evaluating into a reused Workspace gives what a fresh call gives."""
 
@@ -318,7 +337,6 @@ class TestWorkspace:
                 assert got[2] is None and want[2] is None
             else:
                 np.testing.assert_array_equal(got[2], want[2])
-            assert loss_only(st, weights, coeffs, work=work) == want[0]
 
     def test_stacked_batch_matches_fresh_arrays(self):
         topologies = [Topology.cascaded(3), Topology.none(3), Topology.single(1, 3, 3)]
@@ -333,8 +351,6 @@ class TestWorkspace:
             got = loss_and_gradients(states[0], scale * weights, None, layout, work)
             np.testing.assert_array_equal(got[0], want[0])
             np.testing.assert_array_equal(got[1], want[1])
-            np.testing.assert_array_equal(loss_only(states[0], scale * weights, None,
-                                                    layout, work), want[0])
             # and each member is its own solo pass
             for m, st in enumerate(states):
                 solo = loss_and_gradients(st, scale * weights[m])
@@ -343,20 +359,48 @@ class TestWorkspace:
 
     @pytest.mark.parametrize("nonlinearity", ["none", "tanh"])
     def test_stacked_source_read_three_times_matches_solo(self, nonlinearity):
-        topologies = [THREE_READERS, Topology.cascaded(4), Topology.none(4),
-                      Topology(K=4, shortcuts=frozenset({(0, 2), (1, 4), (3, 4)}))]
-        base = make_state(K=4, seed=6)
-        states = [TrainState(weights=make_state(K=4, seed=s).weights, X=base.X, Y=base.Y,
-                             topology=t, nonlinearity=nonlinearity)
-                  for s, t in enumerate(topologies)]
-        layout = stack_layouts([t.layout for t in topologies])
-        weights = np.array([s.weights for s in states])
-        work = Workspace(states[0], weights.shape, layout)
-        value, wgrads, _ = loss_and_gradients(states[0], weights, None, layout, work)
-        for m, st in enumerate(states):
-            solo = loss_and_gradients(st)
-            assert value[m] == solo[0]
-            np.testing.assert_array_equal(wgrads[m], solo[1])
+        _assert_members_match_solo([THREE_READERS, Topology.cascaded(4), Topology.none(4),
+                                    Topology(K=4, shortcuts=frozenset({(0, 2), (1, 4),
+                                                                       (3, 4)}))],
+                                   nonlinearity, base_seed=6)
+
+    @pytest.mark.parametrize("nonlinearity", ["none", "tanh"])
+    def test_stacked_multi_source_spans_match_solo(self, nonlinearity):
+        # a layer that mixes three shortcut sources (4) and one that mixes
+        # four (5), a source read by three shortcuts (1), and members whose
+        # own spans are narrower than the stack's
+        topologies = [Topology(K=5, shortcuts=frozenset({(0, 4), (1, 4), (2, 4), (1, 3),
+                                                         (1, 5)})),
+                      Topology(K=5, shortcuts=frozenset({(0, 5), (1, 5), (2, 5), (3, 5)})),
+                      Topology.cascaded(5), Topology.none(5)]
+        for draw in range(5):
+            _assert_members_match_solo(topologies, nonlinearity, base_seed=draw,
+                                       first_seed=10 * draw + 1)
+
+    def test_lone_one_source_layers_add_the_source_as_it_is(self):
+        # each layer reads at most one shortcut source and each source feeds
+        # at most one shortcut, so every shortcut term is h_i itself
+        topology = Topology(K=4, shortcuts=frozenset({(0, 1), (1, 3), (2, 4)}))
+        st = make_state(K=4, topology=topology, seed=2)
+        value, wgrads, _ = loss_and_gradients(st)
+        W, source = st.weights, {j: i for i, j in topology.shortcuts}
+        h = [st.X]
+        for k in range(1, 5):
+            z = W[k - 1] @ h[k - 1]
+            if k in source:
+                z += h[source[k]]
+            h.append(z)
+        np.testing.assert_array_equal(forward(st), h[4])
+        adj = {4: h[4] - st.Y}
+        assert value == 0.5 * float(np.vdot(adj[4], adj[4]))
+        readers = {i: j for j, i in source.items()}
+        for k in range(4, 0, -1):
+            np.testing.assert_array_equal(wgrads[k - 1], adj[k] @ h[k - 1].T)
+            if k > 1:
+                a = W[k - 1].T @ adj[k]
+                if k - 1 in readers:
+                    a += adj[readers[k - 1]]
+                adj[k - 1] = a
 
     @pytest.mark.parametrize("mode", ["ingoing", "outgoing"])
     @pytest.mark.parametrize("trunk", [True, False])
@@ -381,9 +425,6 @@ class TestWorkspace:
         first = loss_and_gradients(st, work=work)
         kept = (first[0], first[1].copy(), first[2].copy())
         weights, X = st.weights.copy(), st.X.copy()
-        # a loss-only pass leaves the weight gradients alone
-        loss_only(st, 2.0 * st.weights, work=work)
-        np.testing.assert_array_equal(first[1], kept[1])
         second = loss_and_gradients(st, 2.0 * st.weights, work=work)
         want = loss_and_gradients(st, 2.0 * st.weights)
         # the weight gradients are the workspace's one buffer, now the second
@@ -410,7 +451,18 @@ class TestWorkspace:
         tanh = TrainState(weights=st.weights, X=st.X, Y=st.Y, topology=st.topology,
                           nonlinearity="tanh")
         with pytest.raises(ValueError, match="workspace"):
-            loss_only(tanh, work=work)
+            loss_and_gradients(tanh, work=work)
+
+    def test_rejects_a_learned_layout_with_the_same_sources(self):
+        # the fixed layout with every pair i < j has a learned layout's
+        # sources, but not its coefficients
+        fixed = make_state(K=3, topology=Topology(K=3, shortcuts=frozenset(
+            candidate_pairs(3))))
+        work = Workspace(fixed, fixed.weights.shape)
+        learned = TrainState(weights=fixed.weights, X=fixed.X, Y=fixed.Y,
+                             ancre=AncreParams.uniform(3))
+        with pytest.raises(ValueError, match="workspace"):
+            loss_and_gradients(learned, work=work)
 
 
 class TestTrainStateValidation:

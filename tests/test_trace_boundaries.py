@@ -69,3 +69,15 @@ def test_every_ub_witness_record_reaches_spectral_norm(spans, tmp_path):
     records = record["curves"]["gf"]["records"]
     assert records == 51
     assert tracer.span_totals()["tensor.spectral_norm"][0] == records
+
+
+def test_every_step_and_the_budget_step_reach_network_eval(spans, tmp_path):
+    # network.evals reads the wrapped dynamics.loss_and_gradients: a curve of
+    # 5 steps evaluates at each step and once more at its budget step
+    tracer = spans.Tracer()
+    with tracer.installed(restopo):
+        record = restopo.experiments.run(restopo.experiments.ExperimentConfig.for_preset(
+            "custom", iters=5, output_dir=str(tmp_path)))
+    [curve] = record["curves"].values()
+    assert curve["steps"] == 5
+    assert tracer.span_totals()["network.eval"][0] == 6
