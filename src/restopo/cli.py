@@ -15,8 +15,8 @@ import argparse
 import json
 import sys
 
-from .experiments import (ExperimentConfig, PRESETS, compare, load_record,
-                          render_compare, run, verify)
+from .experiments import (ExperimentConfig, PRESETS, WITNESS_PRESETS, compare,
+                          load_record, render_compare, run, verify)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -34,7 +34,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("records", nargs="+", help="record.json paths")
 
     p_ver = sub.add_parser("verify", help="run a theorem-witness preset and check invariants")
-    p_ver.add_argument("--preset", required=True, choices=["lb-witness", "ub-witness"])
+    p_ver.add_argument("--preset", required=True, choices=WITNESS_PRESETS)
     p_ver.add_argument("--seed", type=int, default=1)
     p_ver.add_argument("--out")
     return parser

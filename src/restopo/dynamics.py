@@ -84,7 +84,11 @@ class Trajectory:
     # exceeded DIVERGENCE_THRESHOLD or was not finite) or "nonfinite_grad";
     # the last two are divergence.
     stop_reason: str = "budget"
-    steps: int = 0                              # updates taken before the stop
+
+    @property
+    def steps(self) -> int:
+        """The updates taken before the stop: the last record is the stop's."""
+        return int(self.iters[-1])
 
     @property
     def diverged(self) -> bool:
@@ -101,13 +105,9 @@ class Trajectory:
         cols = ["t", "iter", "loss"] + [f"fro_w{k}" for k in range(1, K + 1)] + list(extra)
         chans = [self.times, self.iters, self.losses, *self.weight_fro_norms.T,
                  *map(np.asarray, extra.values())]
-        lines = [",".join(cols)]
-        for row in range(len(self.times)):
-            cells = []
-            for chan in chans:
-                v = chan[row]
-                cells.append(str(int(v)) if chan is self.iters else f"{v:.12g}")
-            lines.append(",".join(cells))
+        row = "%.12g,%d," + ",".join(["%.12g"] * (len(chans) - 2))
+        lines = [",".join(cols)] + [row % cells
+                                    for cells in zip(*(chan.tolist() for chan in chans))]
         return "\n".join(lines) + "\n"
 
 
@@ -150,14 +150,14 @@ class _Recorder:
             self.weights[n] = weights
         self.n = n + 1
 
-    def build(self, stop_reason: str, steps: int) -> Trajectory:
+    def build(self, stop_reason: str) -> Trajectory:
         def filled(chan):  # no copy: the recorder is dropped once this returns
             return None if chan is None else chan[:self.n]
 
         iters = filled(self.iters)
         return Trajectory(times=iters * self.time_scale, iters=iters,
                           losses=filled(self.losses), weight_fro_norms=filled(self.fro),
-                          weights=filled(self.weights), stop_reason=stop_reason, steps=steps)
+                          weights=filled(self.weights), stop_reason=stop_reason)
 
 
 def _finite(grads: np.ndarray | None) -> bool:
@@ -285,10 +285,10 @@ def _drive(states, method: str, step: float, n_steps: int, lr_c: float | None,
     axis is iteration * step, and lr_c (default step) the GD coefficient
     rate.
 
-    Each step evaluates the active members in one pass, records those due
-    (every record_every steps, and at a stop) and stops, each on its own,
-    the members whose loss blew up or reached the floor, whose budget is
-    spent, or whose gradient is not finite; a stopped member keeps the
+    Each step evaluates the active members in one pass, decides which stop,
+    each on its own (its loss blew up or reached the floor, its budget is
+    spent, or its gradient is not finite), then records those due (every
+    record_every steps, and at every stop); a stopped member keeps the
     parameters it stopped with.  The rest take the method's update in
     place.  The budget step's gradients are computed but neither used nor
     checked."""
@@ -312,6 +312,10 @@ def _drive(states, method: str, step: float, n_steps: int, lr_c: float | None,
                 stops[row] = "floor"
             elif budget:
                 stops[row] = "budget"
+        if not (budget or _finite(wgrads) and _finite(cgrads)):
+            for row in (_nonfinite_rows(active.rows(wgrads))
+                        | _nonfinite_rows(active.rows(cgrads))):
+                stops.setdefault(row, "nonfinite_grad")
         due = budget or it % every == 0
         if due or stops:
             fro = active.rows(tensor.frobenius_norm(active.weights))
@@ -319,15 +323,11 @@ def _drive(states, method: str, step: float, n_steps: int, lr_c: float | None,
                                                   active.rows(active.weights))):
                 if due or row in stops:
                     recs[member].snapshot(it, values[row], w, fro[row])
-        if not (budget or _finite(wgrads) and _finite(cgrads)):
-            for row in (_nonfinite_rows(active.rows(wgrads))
-                        | _nonfinite_rows(active.rows(cgrads))):
-                stops.setdefault(row, "nonfinite_grad")
         if stops:
             weights, coeffs = active.rows(active.weights), active.rows(active.coeffs)
             for row, reason in stops.items():
                 member = active.members[row]
-                results[member] = (recs[member].build(reason, it), _with_parameters(
+                results[member] = (recs[member].build(reason), _with_parameters(
                     states[member], weights[row], None if coeffs is None else coeffs[row]))
             keep = [row for row in range(len(values)) if row not in stops]
             if not keep:
@@ -376,13 +376,15 @@ def train_batch(states, method: str, step: float, n_steps: int, lr_c: float | No
     solo run_gd or integrate_gf of that state gives.
 
     method is "gd" (step is lr, and lr_c, default lr, the coefficient
-    rate), "euler" or "rk4" (step is dt).  The time axis is iteration *
-    step.  The members must share X, Y, depth K, nonlinearity and layout
-    kind; their initial weights and fixed layouts may differ.  Learned
-    (ANCRe) layouts train one per batch."""
+    rate), "euler" or "rk4" (step is dt; lr_c must be None).  The time
+    axis is iteration * step.  The members must share X, Y, depth K,
+    nonlinearity and layout kind; their initial weights and fixed layouts
+    may differ.  Learned (ANCRe) layouts train one per batch."""
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     _check_schedule("step", step, "n_steps", n_steps, lr_c)
+    if lr_c is not None and method != "gd":
+        raise ValueError(f"lr_c applies to method 'gd' only, not {method!r}")
     _check_batch(states)
     return _drive(states, method, step, n_steps, lr_c, options)
 

@@ -40,6 +40,8 @@ import shutil
 import tempfile
 import time
 from dataclasses import asdict, dataclass, fields
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -66,19 +68,6 @@ __all__ = [
 THRESHOLDS = (1e-2, 1e-4, 1e-6, 1e-8)
 THRESHOLD_KEYS = ("1e-2", "1e-4", "1e-6", "1e-8")
 
-PRESETS = {
-    "depth-sweep": dict(K=4, iters=20000),
-    "topo-3layer": dict(K=3, iters=30000),
-    "topo-4layer": dict(K=4, iters=20000),
-    "ancre-lnn": dict(K=3, iters=30000),
-    "kdeep-extension": dict(K=5, iters=60000),
-    "lb-witness": dict(d=4, n=4, K=3, optimizer="gf-rk4", dt=1e-4, t_end=50.0,
-                       record_every=100, rank_deficiency=2, stop_below=None),
-    "ub-witness": dict(d=4, n=4, K=3, optimizer="gf-euler", dt=1e-3, t_end=20.0,
-                       record_every=10, stop_below=None),
-    "custom": dict(),
-}
-
 # Spectrum constants for the commuting-family instances (see module docstring).
 SIGMA_RANGE = (0.5, 1.5)
 PAIR_LO = 0.25
@@ -86,26 +75,6 @@ PAIR_WIDTH = 0.15
 KDEEP_PAIR_STEP = 0.4
 W1_SCALE = 0.01
 DEPTH_RANGE = (0.25, 0.4)
-
-# The config fields each preset does not read, or fixes.  A value other
-# than the preset's default would be echoed in config.json yet change
-# nothing, or break the preset's checks, so it is rejected.  custom reads
-# the ANCRe fields only with an ancre_mode, and every preset reads only its
-# optimizer's step fields.  The witnesses' checks (the diagonal oracle, the
-# drift halving) assume their own integrator, so they fix the optimizer.
-_ANCRE_ONLY = ("ancre_mode", "temperature", "trunk")
-_UNREAD = {
-    "depth-sweep": ("K", "topology", "lam", "rank_deficiency") + _ANCRE_ONLY,
-    "topo-3layer": ("K", "topology", "lam"),
-    "topo-4layer": ("K", "topology", "lam"),
-    "ancre-lnn": ("K", "topology", "lam"),
-    "kdeep-extension": ("K", "topology", "lam") + _ANCRE_ONLY,
-    "lb-witness": ("K", "topology", "lam", "nonlinearity", "optimizer") + _ANCRE_ONLY,
-    "ub-witness": ("K", "topology", "rank_deficiency", "nonlinearity",
-                   "optimizer") + _ANCRE_ONLY,
-    "custom": ("lam",),
-}
-
 
 def _check_preset(preset) -> None:
     if not isinstance(preset, str) or preset not in PRESETS:
@@ -198,16 +167,16 @@ class ExperimentConfig:
         if not lowest <= self.rank_deficiency < self.d:
             raise ValueError(f"config field 'rank_deficiency' must lie in "
                              f"[{lowest}, d={self.d}), got {self.rank_deficiency}")
-        if self.preset in ("lb-witness", "ub-witness") and self.n != self.d:
+        if self.preset in WITNESS_PRESETS and self.n != self.d:
             raise ValueError(f"config field 'n' must equal d={self.d} under preset "
                              f"{self.preset!r}, whose data is X = I_d; got n={self.n}")
         where = f"preset {self.preset!r}"
-        unread = [(name, where) for name in _UNREAD[self.preset]]
+        unread = [(name, where) for name in PRESETS[self.preset].unread]
         if self.preset == "custom" and self.ancre_mode is None:
             unread += [(name, where + " without 'ancre_mode'") for name in _ANCRE_ONLY]
         steps = ("dt", "t_end") if self.optimizer == "gd" else ("lr", "iters")
         unread += [(name, f"optimizer {self.optimizer!r}") for name in steps]
-        defaults = {f.name: f.default for f in fields(self)} | PRESETS[self.preset]
+        defaults = {f.name: f.default for f in fields(self)} | PRESETS[self.preset].defaults
         for name, where in unread:
             value = getattr(self, name)
             if value != defaults[name]:
@@ -217,7 +186,7 @@ class ExperimentConfig:
     @classmethod
     def for_preset(cls, preset: str, **overrides) -> "ExperimentConfig":
         _check_preset(preset)
-        merged = dict(PRESETS[preset])
+        merged = dict(PRESETS[preset].defaults)
         merged.update(overrides)
         return cls(preset=preset, **merged)
 
@@ -338,10 +307,8 @@ def _train(cfg: ExperimentConfig, states: list, options: RecordOptions) -> list:
     gd = cfg.optimizer == "gd"
     method = "gd" if gd else cfg.optimizer.removeprefix("gf-")
     if len(states) > 1:
-        if gd:
-            return train_batch(states, method, cfg.lr, cfg.iters, cfg.lr_c, options)
-        return train_batch(states, method, cfg.dt, int(round(cfg.t_end / cfg.dt)),
-                           None, options)
+        step, n_steps = (cfg.lr, cfg.iters) if gd else (cfg.dt, int(round(cfg.t_end / cfg.dt)))
+        return train_batch(states, method, step, n_steps, cfg.lr_c, options)
     if gd:
         return [run_gd(states[0], cfg.lr, cfg.iters, cfg.lr_c, options)]
     return [integrate_gf(states[0], cfg.dt, cfg.t_end, method, options)]
@@ -391,13 +358,18 @@ def _check(name: str, value: float, bound: float, kind: str, note: str = "") -> 
             "bound": float(bound), "margin": float(margin), "note": note}
 
 
-def _monotone_loss_check(traj: Trajectory, name: str) -> dict:
-    L = traj.losses
-    if len(L) < 2:
+def _nonincreasing_check(name: str, values: np.ndarray, note: str = "") -> dict:
+    """`values` never rise by more than 1e-10 times the value before; fewer
+    than two values pass with value 0 and no note."""
+    if len(values) < 2:
         return _check(name, 0.0, 0.0, "<=")
-    increases = (L[1:] - L[:-1]) - 1e-10 * np.maximum(L[:-1], 1e-300)
-    return _check(name, float(np.max(increases)), 0.0, "<=",
-                  note="max recorded loss increase beyond 1e-10 * L")
+    increases = values[1:] - values[:-1] - 1e-10 * np.maximum(values[:-1], 1e-300)
+    return _check(name, float(np.max(increases)), 0.0, "<=", note=note)
+
+
+def _monotone_loss_check(traj: Trajectory, name: str) -> dict:
+    return _nonincreasing_check(name, traj.losses,
+                                "max recorded loss increase beyond 1e-10 * L")
 
 
 def _lower_bound_envelope_check(traj: Trajectory, a_d0: float) -> dict:
@@ -454,33 +426,21 @@ def _w3_growth_check(traj: Trajectory, L0: float) -> dict:
 # ---------------------------------------------------------------------------
 # presets
 
-# Figure presets: depth K, the fixed layouts trained in this order on one
-# commuting-family instance, and whether an ANCRe curve follows them.
-# custom takes its single layout from the config instead.
-_FIGURES = {
-    "topo-3layer": (3, [Topology.none(3), Topology.cascaded(3),
-                        Topology.single(0, 1, 3), Topology.single(0, 2, 3)], True),
-    "topo-4layer": (4, [Topology(K=4, shortcuts=frozenset(combo))
-                        for combo in itertools.combinations(candidate_pairs(4), 2)]
-                    + [Topology.single(0, 3, 4)], True),
-    "ancre-lnn": (3, [], True),
-}
-
-
 def _fixed_state(cfg: ExperimentConfig, inst: Instance, topology: Topology) -> TrainState:
     return TrainState(weights=inst.weights, X=inst.X, Y=inst.Y,
                       topology=topology, nonlinearity=cfg.nonlinearity)
 
 
-def _run_figure(cfg: ExperimentConfig, record: dict, files: dict) -> np.ndarray | None:
-    """Train a figure preset's curves on one instance.  When the ANCRe curve
-    mixes ingoing, its learned-coefficient heatmap goes into `files` and
-    is returned."""
-    if cfg.preset == "custom":
-        K, with_ancre = cfg.K, cfg.ancre_mode is not None
+def _run_figure(cfg: ExperimentConfig, record: dict, files: dict,
+                layouts: list | None = None) -> np.ndarray | None:
+    """Train `layouts`, fixed layouts of depth cfg.K, in this order on one
+    commuting-family instance, then an ANCRe curve.  Without layouts
+    (custom) the one curve is cfg.topology's layout or, with an ancre_mode,
+    the ANCRe curve.  When the ANCRe curve mixes ingoing, its
+    learned-coefficient heatmap goes into `files` and is returned."""
+    K, with_ancre = cfg.K, layouts is not None or cfg.ancre_mode is not None
+    if layouts is None:
         layouts = [] if with_ancre else [parse_topology(cfg.topology or "none", K)]
-    else:
-        K, layouts, with_ancre = _FIGURES[cfg.preset]
     inst = figure_instance(cfg.d, cfg.n, K, cfg.seed, cfg.rank_deficiency)
     record["instance_digest"] = inst.digest()
     if layouts:
@@ -502,7 +462,7 @@ def _run_figure(cfg: ExperimentConfig, record: dict, files: dict) -> np.ndarray 
 
 
 def _run_ancre_lnn(cfg: ExperimentConfig, record: dict, files: dict):
-    hm = _run_figure(cfg, record, files)
+    hm = _run_figure(cfg, record, files, layouts=[])
     if hm is not None:
         K = hm.shape[0] - 1
         worst = float(max(hm[K, 0], hm[K, K - 1]))
@@ -574,10 +534,7 @@ def _run_lb_witness(cfg: ExperimentConfig, record: dict, files: dict):
     a_d = wd * ud * vd
     checks.append(_check("witness_w_dominates_cbrt_a",
                          float(np.max(np.cbrt(np.abs(a_d)) - wd)), 1e-9, "<="))
-    a_sq = a_d ** 2
-    incr = a_sq[1:] - a_sq[:-1] - 1e-10 * np.maximum(a_sq[:-1], 1e-300)
-    checks.append(_check("witness_a_squared_nonincreasing",
-                         float(np.max(incr)) if incr.size else 0.0, 0.0, "<="))
+    checks.append(_nonincreasing_check("witness_a_squared_nonincreasing", a_d ** 2))
     checks.append(_w3_growth_check(traj, float(traj.losses[0])))
 
     euler_traj, _ = integrate_gf(state.copy(), 1e-3, 20.0, "euler",
@@ -634,16 +591,54 @@ def _run_ub_witness(cfg: ExperimentConfig, record: dict, files: dict):
     checks.extend(_balance_drift_halving_checks(drifts))
 
 
-_PRESET_RUNNERS = {
-    "depth-sweep": _run_depth_sweep,
-    "topo-3layer": _run_figure,
-    "topo-4layer": _run_figure,
-    "ancre-lnn": _run_ancre_lnn,
-    "kdeep-extension": _run_kdeep,
-    "lb-witness": _run_lb_witness,
-    "ub-witness": _run_ub_witness,
-    "custom": _run_figure,
+@dataclass(frozen=True)
+class Preset:
+    """A preset's runner, which fills a run's record and {file name: text}
+    map; the config defaults it sets; and the config fields it does not
+    read or fixes, which reject any value but the default: it would be
+    echoed in config.json yet change nothing, or break the preset's
+    checks.  custom reads the ANCRe fields only with an ancre_mode, and
+    every preset only its optimizer's step fields.  The witnesses' checks
+    (the diagonal oracle, the drift halving) assume their own integrator,
+    so they fix the optimizer; a figure preset fixes K, its layouts' depth."""
+
+    run: Callable[[ExperimentConfig, dict, dict], None]
+    defaults: dict
+    unread: tuple
+
+
+_ANCRE_ONLY = ("ancre_mode", "temperature", "trunk")
+
+PRESETS = {
+    "depth-sweep": Preset(_run_depth_sweep, dict(K=4, iters=20000),
+                          ("K", "topology", "lam", "rank_deficiency") + _ANCRE_ONLY),
+    "topo-3layer": Preset(partial(_run_figure, layouts=[
+                              Topology.none(3), Topology.cascaded(3),
+                              Topology.single(0, 1, 3), Topology.single(0, 2, 3)]),
+                          dict(K=3, iters=30000), ("K", "topology", "lam")),
+    "topo-4layer": Preset(partial(_run_figure, layouts=[
+                              Topology(K=4, shortcuts=frozenset(combo))
+                              for combo in itertools.combinations(candidate_pairs(4), 2)]
+                              + [Topology.single(0, 3, 4)]),
+                          dict(K=4, iters=20000), ("K", "topology", "lam")),
+    "ancre-lnn": Preset(_run_ancre_lnn, dict(K=3, iters=30000), ("K", "topology", "lam")),
+    "kdeep-extension": Preset(_run_kdeep, dict(K=5, iters=60000),
+                              ("K", "topology", "lam") + _ANCRE_ONLY),
+    "lb-witness": Preset(_run_lb_witness,
+                         dict(d=4, n=4, K=3, optimizer="gf-rk4", dt=1e-4, t_end=50.0,
+                              record_every=100, rank_deficiency=2, stop_below=None),
+                         ("K", "topology", "lam", "nonlinearity", "optimizer")
+                         + _ANCRE_ONLY),
+    "ub-witness": Preset(_run_ub_witness,
+                         dict(d=4, n=4, K=3, optimizer="gf-euler", dt=1e-3, t_end=20.0,
+                              record_every=10, stop_below=None),
+                         ("K", "topology", "rank_deficiency", "nonlinearity", "optimizer")
+                         + _ANCRE_ONLY),
+    "custom": Preset(_run_figure, {}, ("lam",)),
 }
+
+# The presets whose runs witness the paper's rate bounds; verify runs these.
+WITNESS_PRESETS = ("lb-witness", "ub-witness")
 
 
 # ---------------------------------------------------------------------------
@@ -685,7 +680,7 @@ def run(config: ExperimentConfig) -> dict:
         "invariant_checks": [],
     }
     files = {}
-    _PRESET_RUNNERS[config.preset](config, record, files)
+    PRESETS[config.preset].run(config, record, files)
     record["all_checks_passed"] = all(c["passed"] for c in record["invariant_checks"])
     record["wall_clock_s"] = time.perf_counter() - start
     files["config.json"] = _json_text(asdict(config))
@@ -782,8 +777,8 @@ def render_compare(report: dict) -> str:
 
 def verify(preset: str, seed: int = 1, output_dir: str | None = None) -> tuple[dict, bool]:
     """Run a theorem-witness preset and report whether every invariant passed."""
-    if preset not in ("lb-witness", "ub-witness"):
-        raise ValueError("verify supports presets 'lb-witness' and 'ub-witness'")
+    if preset not in WITNESS_PRESETS:
+        raise ValueError(f"verify supports presets {' and '.join(map(repr, WITNESS_PRESETS))}")
     cfg = ExperimentConfig.for_preset(preset, seed=seed, output_dir=output_dir)
     record = run(cfg)
     return record, bool(record["all_checks_passed"])

@@ -202,14 +202,16 @@ class TrainState:
         return replace(self)
 
 
-def _layout(state: TrainState, coeffs: np.ndarray | None = None) -> Layout:
+def _layout(state: TrainState, coeffs: np.ndarray | None = None,
+            matrix: bool = True) -> Layout:
     """The state's coefficient matrix; coeffs optionally overrides the raw
-    coefficients ancre.c.  The only place that tells a fixed topology from
-    learned coefficients: downstream code reads the Layout alone."""
+    coefficients ancre.c, and matrix=False leaves a learned one None (its
+    structure needs no softmax).  The only place that tells a fixed
+    topology from learned coefficients: downstream code reads the Layout."""
     if state.topology is not None:
         return state.topology.layout
     params = state.ancre
-    p = normalize(params, coeffs)
+    p = normalize(params, coeffs) if matrix else None
     return Layout(p, _all_sources(params.K), state.trunk, params)
 
 
@@ -258,7 +260,7 @@ class Workspace:
     def __init__(self, state: TrainState, shape: tuple, layout: Layout | None = None):
         K, batch = shape[-3], tuple(shape[:-3])
         hidden = (K + 1,) + batch + state.X.shape
-        layout = _layout(state) if layout is None else layout
+        layout = _layout(state, matrix=False) if layout is None else layout
         self.sources, self.trunk = layout.sources, layout.trunk
         self.learned = layout.params is not None
         self.X, self.shape, self.tanh = state.X, tuple(shape), state.nonlinearity == "tanh"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from restopo import dynamics, network
 from restopo.ancre import AncreParams
 from restopo.dynamics import (RecordOptions, Trajectory, balance_drift, classify_rate,
                               integrate_gf, run_gd, train_batch)
@@ -227,6 +228,31 @@ class TestRunGd:
         assert np.all(np.diff(traj.times) > 0)
         assert np.all(traj.losses >= 0)
 
+    def test_a_gradient_stop_between_records_is_recorded(self, monkeypatch):
+        # the third evaluation, at step 2, returns an inf gradient: the run
+        # stops there, off the stride of 5, and records that step
+        losses, real = [], dynamics.loss_and_gradients
+
+        def third_gradient_inf(*args):
+            value, wgrads, cgrads = real(*args)
+            losses.append(value)
+            return value, np.full_like(wgrads, np.inf) if len(losses) == 3 else wgrads, cgrads
+
+        monkeypatch.setattr(dynamics, "loss_and_gradients", third_gradient_inf)
+        traj, final = run_gd(batch_member(0.1, 0.1, Topology.cascaded(2)), 0.1, 10,
+                             options=RecordOptions(record_every=5))
+        assert traj.stop_reason == "nonfinite_grad" and traj.diverged
+        assert traj.steps == 2 and traj.iters.tolist() == [0, 2]
+        assert traj.losses[-1] == losses[2] == loss_and_gradients(final)[0]
+
+    def test_a_learned_run_normalizes_once_per_evaluation(self, monkeypatch):
+        # 5 steps make 6 evaluations, the budget step's included; building
+        # the workspace reads the layout's structure without a softmax
+        calls, real = [], network.normalize
+        monkeypatch.setattr(network, "normalize", lambda *a: calls.append(a) or real(*a))
+        run_gd(ancre_state(), 0.05, 5)
+        assert len(calls) == 6
+
     @pytest.mark.parametrize("bad,match", [
         (dict(lr_c=-1.0), "lr_c"),           # would ascend on the coefficients
         (dict(lr_c=float("nan")), "lr_c"),
@@ -295,7 +321,11 @@ class TestTrainBatch:
         (dict(n_steps=2.5), "n_steps"),
         (dict(n_steps=True), "n_steps"),
         (dict(step=float("inf")), "step"),
-    ], ids=["negative_lr_c", "nan_lr_c", "float_n_steps", "bool_n_steps", "infinite_step"])
+        # gradient flow integrates every parameter at one rate
+        (dict(method="euler", lr_c=0.0), "lr_c"),
+        (dict(method="rk4", lr_c=0.0), "lr_c"),
+    ], ids=["negative_lr_c", "nan_lr_c", "float_n_steps", "bool_n_steps", "infinite_step",
+            "euler_lr_c", "rk4_lr_c"])
     def test_rejects_bad_arguments_before_the_first_step(self, bad, match):
         with pytest.raises(ValueError, match=match):
             train_batch([ancre_state()], **(dict(method="gd", step=0.05, n_steps=3) | bad))
@@ -444,3 +474,9 @@ class TestTrajectoryCsv:
         # 12 significant digits
         assert f"{traj.losses[0]:.12g}" == first[2]
         assert "\r" not in text and text.endswith("\n")
+
+    def test_special_values(self):
+        traj = synthetic_trajectory([0.0, 0.5, 1.0, 1.5], [np.nan, np.inf, -0.0, 1e-300])
+        text = traj.to_csv(extra={"e": [-np.inf, 1.0, 2.5, 1 / 3]})
+        assert text.splitlines()[1:] == ["0,0,nan,0,-inf", "0.5,1,inf,0,1",
+                                         "1,2,-0,0,2.5", "1.5,3,1e-300,0,0.333333333333"]

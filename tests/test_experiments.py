@@ -209,6 +209,20 @@ class TestInvariantChecks:
             passed[method] = [c["passed"] for c in checks]
         assert passed == {"euler": [True] * 3, "rk4": [False] * 3}
 
+    def test_euler_loss_monotone_fails_at_too_large_a_step(self):
+        # Euler on the lb witness never raises its loss at dt=1e-3; at dt=1
+        # it overshoots, and a step raises the loss by 7.8e-5
+        state, _ = lb_witness_init(4, 2, 1)
+        values = {}
+        for dt in (1e-3, 1.0):
+            traj, _ = integrate_gf(state.copy(), dt, 20.0, "euler",
+                                   RecordOptions(record_every=1))
+            values[dt] = experiments._monotone_loss_check(traj, "euler_loss_monotone")
+        small, large = values[1e-3], values[1.0]
+        assert small["name"] == "euler_loss_monotone"
+        assert small["passed"] and small["value"] == pytest.approx(-8.2e-9, abs=1e-10)
+        assert not large["passed"] and large["value"] == pytest.approx(7.8e-5, abs=1e-6)
+
     def test_w3_growth_fails_when_w3_outgrows_its_cap(self):
         # the lb witness's W3 grows from 0.48 to 0.85 by t=2, at most 0.57
         # of the way to its cap ||W3(0)|| + sqrt(t L0) + 1e-3 at any t > 0;
