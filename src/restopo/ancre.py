@@ -7,6 +7,8 @@ every candidate carries a raw coefficient c[i, j], and a temperature
 softmax over a masked matrix turns them into convex weights p: "ingoing"
 normalizes each destination column (sum over sources i < j equals 1),
 "outgoing" each source row (sum over destinations j > i equals 1).
+normalize and coeff_gradients also take a stack (..., K+1, K+1) of such
+matrices, one recipe for all, grouping over the last two axes.
 """
 
 from __future__ import annotations
@@ -126,25 +128,43 @@ def normalization_groups(params: AncreParams) -> list[list[Pair]]:
     return [[(i, j) for j in range(i + 1, K + 1)] for i in range(K)]
 
 
-def _group_axis(params: AncreParams) -> int:
-    """Matrix axis summed over within one group: 0 (columns) for ingoing."""
-    return 0 if params.mode == "ingoing" else 1
+@lru_cache(maxsize=None)
+def _groups(K: int, mode: str) -> tuple:
+    """(the index of the slice of a coefficient matrix, or of a stack of
+    them, whose groups hold the candidates; the axis a group runs along; the
+    slice's read-only additive bias, 0 at a candidate and -inf elsewhere).
+    Ingoing groups are the columns j = 1..K, outgoing ones the rows
+    i = 0..K-1."""
+    if mode == "ingoing":
+        index, axis = (..., slice(None), slice(1, None)), -2
+    else:
+        index, axis = (..., slice(None, K), slice(None)), -1
+    bias = np.where(candidate_mask(K)[index], 0.0, -np.inf)
+    bias.flags.writeable = False
+    return index, axis, bias
 
 
-def normalize(params: AncreParams, c: np.ndarray | None = None) -> np.ndarray:
-    """Softmax weights p of the raw matrix c (default params.c), with
-    max-subtraction for overflow safety.
+def normalize(params: AncreParams, c: np.ndarray | None = None,
+              out: np.ndarray | None = None) -> np.ndarray:
+    """Softmax weights p of the raw matrix c (default params.c), or of each
+    of a stack (..., K+1, K+1) of them, with max-subtraction for overflow
+    safety.
 
     p is zero outside the candidate entries; each normalization group sums
-    to 1 and every candidate p lies in (0, 1].
+    to 1 and every candidate p lies in (0, 1].  The groups' slice of p is
+    written into `out` when given, whose other entries must be 0 already;
+    else p is a fresh array.
     """
     c = params.c if c is None else c
-    mask = candidate_mask(params.K)
-    axis = _group_axis(params)
-    z = c / params.temperature
-    z -= np.max(z, axis=axis, keepdims=True, initial=-np.inf, where=mask)
-    p = np.exp(z, out=np.zeros_like(z), where=mask)
-    return np.divide(p, p.sum(axis=axis, keepdims=True), out=p, where=mask)
+    index, axis, bias = _groups(params.K, params.mode)
+    z = np.divide(c[index], params.temperature)
+    z += bias
+    z -= np.maximum.reduce(z, axis=axis, keepdims=True)
+    np.exp(z, out=z)
+    if out is None:
+        out = np.zeros(c.shape)
+    np.divide(z, np.add.reduce(z, axis=axis, keepdims=True), out=out[index])
+    return out
 
 
 def coeff_gradients(params: AncreParams, p: np.ndarray, p_grads: np.ndarray) -> np.ndarray:
@@ -152,10 +172,15 @@ def coeff_gradients(params: AncreParams, p: np.ndarray, p_grads: np.ndarray) -> 
 
     Per group, the Jacobian is (diag(p) - p p^T)/tau, so
     dL/dc_k = p_k (q_k - sum_i p_i q_i) / tau.  p_grads is a (K+1) x (K+1)
-    matrix like p; the result is zero outside the candidate entries.
+    matrix like p, or a stack of them; the result, a fresh array, is zero
+    outside the candidate entries.
     """
-    avg = np.sum(p * p_grads, axis=_group_axis(params), keepdims=True)
-    return p * (p_grads - avg) / params.temperature
+    g = np.multiply(p, p_grads)
+    avg = np.add.reduce(g, axis=_groups(params.K, params.mode)[1], keepdims=True)
+    np.subtract(p_grads, avg, out=g)
+    g *= p
+    g /= params.temperature
+    return g
 
 
 def heatmap(params: AncreParams) -> np.ndarray:

@@ -9,18 +9,21 @@ discrete stand-in for exact gradient flow; RK4 re-evaluates full
 gradients at stage points for step-size studies.
 
 One driver trains a batch of layouts on one instance: train_batch stacks
-states that share X, Y, depth, nonlinearity and layout kind along a
-leading curve axis and evaluates them in one pass per step.  Each member
+states that share X, Y, depth, nonlinearity and trunk along a leading
+curve axis, fixed and learned (ANCRe) layouts alike, and evaluates them in
+one pass per step.  The learned members' raw coefficients are one
+(L, K+1, K+1) array, the only coefficients an update touches.  Each member
 stops on its own (loss blow-up, loss floor, non-finite gradient or step
 budget) and is then frozen, so its trajectory and final state are those
 of a solo run, bit for bit.  run_gd and integrate_gf train one state.
 
 The driver keeps one network Workspace and its update buffers per active
-set, so a step allocates nothing: parameters are updated in place, the
+set, so a step allocates little: parameters are updated in place, the
 RK4 stage parameters and the weighted sum of k1..k4 are built in
 preallocated buffers (each stage's gradients are folded into the sum
 before the next evaluation overwrites them), and a lone member is
-evaluated without the member axis, as a solo run.
+evaluated without the member axis, as a solo run.  A record step writes
+one row for the whole batch, each member in its own column.
 Evaluations go through this module's loss_and_gradients name, which the
 benchmark's tracer wraps.
 """
@@ -37,7 +40,8 @@ from . import tensor
 # tracer (perfbench/spans.py) wraps `dynamics.normalize` by name, and
 # `--trace 1` fails with a KeyError where the name is missing.
 from .ancre import normalize  # noqa: F401
-from .network import TrainState, Workspace, loss_and_gradients, stack_layouts
+from .network import (TrainState, Workspace, loss_and_gradients, stack_layouts,
+                      state_layout)
 
 __all__ = [
     "RecordOptions",
@@ -127,37 +131,49 @@ class RateVerdict:
 
 
 class _Recorder:
-    """One trajectory's channels, in arrays sized for `capacity` records
-    (a run's budget step and its stop at most), filled row by row."""
+    """The trajectories of a batch's members, one column each, in arrays
+    sized for `capacity` records (a run's budget step and its stop at most):
+    a record writes one row, the step of every member still training."""
 
     def __init__(self, options: RecordOptions, time_scale: float, capacity: int,
-                 K: int, d: int):
+                 members: int, K: int, d: int):
         self.time_scale = time_scale
-        self.n = 0
+        self.n = self.written = 0   # rows kept; rows up to the last one written
         self.iters = np.empty(capacity, dtype=np.int64)
-        self.losses = np.empty(capacity)
-        self.fro = np.empty((capacity, K))
-        self.weights = np.empty((capacity, K, d, d)) if options.weights else None
+        self.losses = np.empty((capacity, members))
+        self.fro = np.empty((capacity, members, K))
+        self.weights = np.empty((capacity, members, K, d, d)) if options.weights else None
 
-    def snapshot(self, it: int, value: float, weights: np.ndarray, fro: np.ndarray):
-        """Record step `it`: its loss, the (K, d, d) weights and their
-        Frobenius norms fro."""
+    def write(self, it: int, cols, values: list, weights: np.ndarray, fro: np.ndarray,
+              keep: bool):
+        """Write step `it` of the members in columns `cols` as the next row:
+        their losses, (B, K, d, d) weights and the weights' (B, K) Frobenius
+        norms.  Unless `keep`, the next write overwrites the row: it is a
+        stop between records, which only the stopping members' trajectories,
+        built before that write, end with."""
         n = self.n
         self.iters[n] = it
-        self.losses[n] = value
-        self.fro[n] = fro
+        self.losses[n, cols] = values
+        self.fro[n, cols] = fro
         if self.weights is not None:
-            self.weights[n] = weights
-        self.n = n + 1
+            self.weights[n, cols] = weights
+        self.written, self.n = n + 1, n + keep
 
-    def build(self, stop_reason: str) -> Trajectory:
-        def filled(chan):  # no copy: the recorder is dropped once this returns
-            return None if chan is None else chan[:self.n]
+    def build(self, col: int, stop_reason: str) -> Trajectory:
+        """Column col's trajectory, up to the row written last.  A lone
+        member's channels are views (its recorder is dropped once this
+        returns); a batch member's are copied out of the shared rows."""
+        rows, lone = slice(self.written), self.losses.shape[1] == 1
 
-        iters = filled(self.iters)
+        def column(chan):
+            if chan is None:
+                return None
+            return chan[rows, col] if lone else chan[rows, col].copy()
+
+        iters = self.iters[rows] if lone else self.iters[rows].copy()
         return Trajectory(times=iters * self.time_scale, iters=iters,
-                          losses=filled(self.losses), weight_fro_norms=filled(self.fro),
-                          weights=filled(self.weights), stop_reason=stop_reason)
+                          losses=column(self.losses), weight_fro_norms=column(self.fro),
+                          weights=column(self.weights), stop_reason=stop_reason)
 
 
 def _finite(grads: np.ndarray | None) -> bool:
@@ -221,11 +237,13 @@ def _rk4(active: _Active, k1w: np.ndarray, k1c: np.ndarray | None, dt: float, _)
 
 
 def _parameters(states) -> tuple[np.ndarray, np.ndarray | None]:
-    """Fresh buffers of the weights and the raw coefficient matrices (None
-    for fixed layouts) in the form _Active takes: a lone state's own
-    shapes, or with a leading member axis, (B, K, d, d) and so on."""
+    """Fresh buffers of the weights and of the learned members' raw
+    coefficient matrices (None when there are none) in the form _Active
+    takes: a lone state's own shapes or, for more states, (B, K, d, d) and
+    (L, K+1, K+1)."""
     weights = np.array([s.weights for s in states], dtype=np.float64)
-    coeffs = None if states[0].ancre is None else np.array([s.ancre.c for s in states])
+    learned = [s.ancre.c for s in states if s.ancre is not None]
+    coeffs = np.array(learned) if learned else None
     if len(states) > 1:
         return weights, coeffs
     return weights[0], None if coeffs is None else coeffs[0]
@@ -237,24 +255,36 @@ def _with_parameters(state: TrainState, weights: np.ndarray,
                    ancre=None if coeffs is None else state.ancre.with_coeffs(coeffs))
 
 
+def _take(a: np.ndarray | None, rows: list, lone: bool) -> np.ndarray | None:
+    """The rows `rows` of a, which has a leading member axis, in a fresh
+    array of the form the next active set takes (without that axis when it
+    is lone); None when there are none."""
+    if a is None or not rows:
+        return None
+    return a[rows[0]].copy() if lone else a[rows]
+
+
 class _Active:
     """The members still training, evaluated as one: a lone member without
-    the member axis (so as a solo run), more through the stacked layout of
-    their fixed layouts.  Holds their parameters in that form, updated in
-    place, one network Workspace and the update's buffers; a run builds a
-    new one whenever the active set shrinks."""
+    the member axis (so as a solo run), more through the stack of their
+    layouts, in which the learned members come last, from row `first` on.
+    Holds their weights and the learned members' raw coefficients in that
+    form, updated in place, one network Workspace and the update's buffers;
+    a run builds a new one whenever the active set shrinks.  members[row]
+    is the recorder column of the member in that row."""
 
     def __init__(self, states, members: list, weights: np.ndarray,
                  coeffs: np.ndarray | None):
         self.members, self.lone = members, len(members) == 1
-        self.state = state = states[members[0]]
+        contiguous = members == list(range(members[0], members[0] + len(members)))
+        self.cols = slice(members[0], members[-1] + 1) if contiguous else np.array(members)
+        self.state = states[members[0]]
         self.weights, self.coeffs = weights, coeffs
-        if not self.lone:
-            self.layout = stack_layouts([states[m].topology.layout for m in members])
-        else:
-            # a learned layout is normalized from the coefficients of each call
-            self.layout = None if state.ancre is not None else state.topology.layout
-        self.work = Workspace(state, weights.shape, self.layout)
+        learned = 0 if coeffs is None else 1 if self.lone else len(coeffs)
+        self.first = len(members) - learned
+        layouts = [state_layout(states[m]) for m in members]
+        self.layout = layouts[0] if self.lone else stack_layouts(layouts)
+        self.work = Workspace(self.state, weights.shape, self.layout)
         self.stage, self.acc = np.empty_like(weights), np.empty_like(weights)
         self.stage_c = self.acc_c = None
         if coeffs is not None:
@@ -267,16 +297,27 @@ class _Active:
         return [value] if self.lone else value.tolist(), wgrads, cgrads
 
     def rows(self, a: np.ndarray | None) -> np.ndarray | None:
-        """a with a leading member axis."""
+        """a with a leading member axis (of the learned members only, for
+        coefficient arrays)."""
         return a[None] if self.lone and a is not None else a
 
-    def take(self, a: np.ndarray | None, keep: list) -> np.ndarray | None:
-        """The rows `keep` of a, in a fresh array of the form the next
-        active set takes."""
-        if a is None:
-            return None
-        a = self.rows(a)
-        return a[keep] if len(keep) > 1 else a[keep[0]].copy()
+    def nonfinite(self, wgrads: np.ndarray, cgrads: np.ndarray | None) -> set:
+        """The rows whose weight or coefficient gradients hold a non-finite
+        entry."""
+        return _nonfinite_rows(self.rows(wgrads)) | {
+            self.first + row for row in _nonfinite_rows(self.rows(cgrads))}
+
+    def shrink(self, states, keep: list, wgrads: np.ndarray,
+               cgrads: np.ndarray | None) -> tuple:
+        """The active set of the rows `keep`, and their gradients in its
+        form."""
+        lone = len(keep) == 1
+        keep_c = [row - self.first for row in keep if row >= self.first]
+        active = _Active(states, [self.members[row] for row in keep],
+                         _take(self.rows(self.weights), keep, lone),
+                         _take(self.rows(self.coeffs), keep_c, lone))
+        return (active, _take(self.rows(wgrads), keep, lone),
+                _take(self.rows(cgrads), keep_c, lone))
 
 
 def _drive(states, method: str, step: float, n_steps: int, lr_c: float | None,
@@ -287,17 +328,24 @@ def _drive(states, method: str, step: float, n_steps: int, lr_c: float | None,
 
     Each step evaluates the active members in one pass, decides which stop,
     each on its own (its loss blew up or reached the floor, its budget is
-    spent, or its gradient is not finite), then records those due (every
-    record_every steps, and at every stop); a stopped member keeps the
-    parameters it stopped with.  The rest take the method's update in
-    place.  The budget step's gradients are computed but neither used nor
-    checked."""
+    spent, or its gradient is not finite), then records the step of every
+    active member in one row when due (every record_every steps, and at
+    every stop); a stopping member's trajectory is built from its column
+    then, and it keeps the parameters it stopped with.  The rest take the
+    method's update in place.  The budget step's gradients are computed but
+    neither used nor checked."""
     options = options or RecordOptions()
     step_c = step if lr_c is None else lr_c
     update = _rk4 if method == "rk4" else _descend
+    # the fixed members first, so that the learned ones are the stack's last
+    # rows (stack_layouts rejects members of another trunk or softmax recipe
+    # here, before the first step); the results are put back in the callers'
+    # order at the end
+    order = sorted(range(len(states)), key=lambda m: states[m].ancre is not None)
+    states = [states[m] for m in order]
     active = _Active(states, list(range(len(states))), *_parameters(states))
-    capacity = n_steps // options.record_every + 2
-    recs = [_Recorder(options, step, capacity, s.K, s.d) for s in states]
+    rec = _Recorder(options, step, n_steps // options.record_every + 2, len(states),
+                    states[0].K, states[0].d)
     results = [None] * len(states)
     floor, every = options.stop_below, options.record_every
 
@@ -313,32 +361,26 @@ def _drive(states, method: str, step: float, n_steps: int, lr_c: float | None,
             elif budget:
                 stops[row] = "budget"
         if not (budget or _finite(wgrads) and _finite(cgrads)):
-            for row in (_nonfinite_rows(active.rows(wgrads))
-                        | _nonfinite_rows(active.rows(cgrads))):
+            for row in active.nonfinite(wgrads, cgrads):
                 stops.setdefault(row, "nonfinite_grad")
         due = budget or it % every == 0
         if due or stops:
-            fro = active.rows(tensor.frobenius_norm(active.weights))
-            for row, (member, w) in enumerate(zip(active.members,
-                                                  active.rows(active.weights))):
-                if due or row in stops:
-                    recs[member].snapshot(it, values[row], w, fro[row])
+            rec.write(it, active.cols, values, active.rows(active.weights),
+                      active.rows(tensor.frobenius_norm(active.weights)), due)
         if stops:
             weights, coeffs = active.rows(active.weights), active.rows(active.coeffs)
             for row, reason in stops.items():
                 member = active.members[row]
-                results[member] = (recs[member].build(reason), _with_parameters(
-                    states[member], weights[row], None if coeffs is None else coeffs[row]))
+                results[member] = (rec.build(member, reason), _with_parameters(
+                    states[member], weights[row],
+                    None if row < active.first else coeffs[row - active.first]))
             keep = [row for row in range(len(values)) if row not in stops]
             if not keep:
                 break
-            wgrads, cgrads = active.take(wgrads, keep), active.take(cgrads, keep)
-            active = _Active(states, [active.members[row] for row in keep],
-                             active.take(active.weights, keep),
-                             active.take(active.coeffs, keep))
+            active, wgrads, cgrads = active.shrink(states, keep, wgrads, cgrads)
         update(active, wgrads, cgrads, step, step_c)
 
-    return results
+    return [results[row] for row in np.argsort(order)]
 
 
 def _check_batch(states) -> None:
@@ -346,13 +388,9 @@ def _check_batch(states) -> None:
         raise ValueError("a batch needs at least one state")
     first = states[0]
     for s in states[1:]:
-        if ((s.K, s.nonlinearity, s.ancre is None) != (first.K, first.nonlinearity,
-                                                         first.ancre is None)
+        if ((s.K, s.nonlinearity) != (first.K, first.nonlinearity)
                 or not (np.array_equal(s.X, first.X) and np.array_equal(s.Y, first.Y))):
-            raise ValueError("batch members must share X, Y, depth K, nonlinearity "
-                             "and layout kind (fixed or learned)")
-    if len(states) > 1 and first.ancre is not None:
-        raise ValueError("learned (ANCRe) layouts train one per batch")
+            raise ValueError("batch members must share X, Y, depth K and nonlinearity")
 
 
 def _check_schedule(step_name: str, step: float, steps_name: str, n_steps: int,
@@ -378,8 +416,10 @@ def train_batch(states, method: str, step: float, n_steps: int, lr_c: float | No
     method is "gd" (step is lr, and lr_c, default lr, the coefficient
     rate), "euler" or "rk4" (step is dt; lr_c must be None).  The time
     axis is iteration * step.  The members must share X, Y, depth K,
-    nonlinearity and layout kind; their initial weights and fixed layouts
-    may differ.  Learned (ANCRe) layouts train one per batch."""
+    nonlinearity and trunk, so a trunk-off learned layout cannot join fixed
+    ones, which keep their trunk; their initial weights and layouts may
+    differ, fixed and learned (ANCRe) alike, and the learned ones must
+    share their softmax mode and temperature."""
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     _check_schedule("step", step, "n_steps", n_steps, lr_c)

@@ -27,7 +27,8 @@ a linear network).  A TrainState holds its weights as one float64
 The reverse pass mirrors the forward: where the forward mixes a layer's
 sources into its input, the reverse gathers each h_i's adjoint from the
 layers that read it, as one product of that span of row i of P with their
-source adjoints.
+source adjoints.  The K weight gradients are then one stacked product of
+the layers' deltas with their transposed inputs.
 
 Both passes run in a Workspace: the hidden states (h_0 = X written once),
 the adjoint stack, the weight-gradient buffer, their per-layer views and
@@ -38,8 +39,12 @@ its own and so returns fresh arrays.  It is the same pass either way, bit
 for bit.
 
 The recurrence also takes a leading curve axis: weights stacked as
-(B, K, d, d) under a stacked layout of B fixed layouts (stack_layouts)
-train B curves on one X and Y in one pass.  Each member's arithmetic is
+(B, K, d, d) under a stacked layout of B layouts (stack_layouts) train B
+curves on one X and Y in one pass.  The fixed layouts come first and the
+learned ones last: each evaluation refreshes the stack's learned rows from
+one softmax of their raw coefficients, (L, K+1, K+1), and dL/dP of those
+rows is one product of their hidden states with their source adjoints.
+The loss of every member is one product too.  Each member's arithmetic is
 that of its own solo pass, bit for bit; a lone curve carries no extra axis.
 """
 
@@ -62,6 +67,7 @@ __all__ = [
     "forward",
     "loss_and_gradients",
     "stack_layouts",
+    "state_layout",
 ]
 
 
@@ -69,15 +75,18 @@ class Layout(NamedTuple):
     """A coefficient matrix as the recurrence consumes it.
 
     sources[j] lists, ascending, the i whose entry matrix[i, j] layer j
-    reads; params is the softmax recipe when the matrix is learned, else
-    None.  A stacked layout (stack_layouts) has a (B, K+1, K+1) matrix and
-    sources[j] the union of its members' sources.
+    reads.  A stacked layout (stack_layouts) has a (B, K+1, K+1) matrix and
+    sources[j] the union of its members' sources.  matrix[rows] are the
+    learned matrices, which every evaluation refreshes from the softmax
+    recipe params: the whole matrix of a lone learned layout, a stack's
+    last rows; both are None when every coefficient is fixed.
     """
 
     matrix: np.ndarray
     sources: tuple
     trunk: bool = True
     params: AncreParams | None = None
+    rows: slice | None = None
 
 
 @lru_cache(maxsize=None)
@@ -132,8 +141,21 @@ class Topology:
 
 
 def stack_layouts(layouts) -> Layout:
-    """One layout for a batch of fixed layouts of one depth, in order."""
+    """One layout for a batch of layouts of one depth and trunk, in order:
+    the fixed ones first, then any learned ones (state_layout), which share
+    one softmax recipe.  The stack's matrix is its own."""
+    learned = [layout.params for layout in layouts if layout.params is not None]
+    first = len(layouts) - len(learned)
+    if (any(layout.params is None for layout in layouts[first:])
+            or len({(p.mode, p.temperature) for p in learned}) > 1
+            or len({layout.trunk for layout in layouts}) > 1):
+        raise ValueError("a stack takes layouts of one trunk (a fixed layout keeps "
+                         "its trunk), the learned ones last and of one softmax mode "
+                         "and temperature")
     matrix = np.stack([layout.matrix for layout in layouts])
+    if learned:
+        return Layout(matrix, _all_sources(learned[0].K), layouts[0].trunk, learned[0],
+                      slice(first, None))
     K = matrix.shape[-1] - 1
     sources = tuple(tuple(np.flatnonzero(matrix[:, :, j].any(axis=0)).tolist())
                     for j in range(K + 1))
@@ -202,27 +224,29 @@ class TrainState:
         return replace(self)
 
 
-def _layout(state: TrainState, coeffs: np.ndarray | None = None,
-            matrix: bool = True) -> Layout:
-    """The state's coefficient matrix; coeffs optionally overrides the raw
-    coefficients ancre.c, and matrix=False leaves a learned one None (its
-    structure needs no softmax).  The only place that tells a fixed
-    topology from learned coefficients: downstream code reads the Layout."""
+def state_layout(state: TrainState) -> Layout:
+    """The state's layout: its topology's constant matrix or, for learned
+    coefficients, a matrix of its own that each evaluation refreshes from
+    their softmax.  The only place that tells a fixed topology from learned
+    coefficients: downstream code reads the Layout."""
     if state.topology is not None:
         return state.topology.layout
     params = state.ancre
-    p = normalize(params, coeffs) if matrix else None
-    return Layout(p, _all_sources(params.K), state.trunk, params)
+    return Layout(np.zeros((params.K + 1, params.K + 1)), _all_sources(params.K),
+                  state.trunk, params, slice(None))
+
+
+def _refresh(layout: Layout, coeffs: np.ndarray | None) -> None:
+    """Write the softmax of coeffs (default: the recipe's own) into the
+    layout's learned matrices, if it has any."""
+    if layout.params is not None:
+        normalize(layout.params, coeffs, layout.matrix[layout.rows])
 
 
 def _by_layer(a: np.ndarray) -> np.ndarray:
     """A (K, d, d) or a batch's (B, K, d, d) stack as a view indexed by
     layer first."""
     return a if a.ndim == 3 else a.swapaxes(0, 1)
-
-
-def _transposed(stack) -> list:
-    return [a.swapaxes(-1, -2) for a in stack]
 
 
 def _row(a: np.ndarray) -> np.ndarray:
@@ -244,13 +268,14 @@ class Workspace:
     it will be given ((K, d, d), or (B, K, d, d) for a stacked batch) and a
     layout (default: the state's own), it serves every loss_and_gradients
     call on that state at that shape under a layout with the same sources,
-    trunk and kind, fixed or learned (a learned layout's coefficient values
-    may change from call to call); other calls raise ValueError.  It holds
-    the hidden states H with h_0 = X written once, the adjoint stack, the
-    source adjoints G with g_0 = 0 written once, the trunk-off mixtures,
-    the weight-gradient buffer, the per-layer views of these and of the
-    last two weight arrays it was given, and member-major views Hm and Gm
-    of H and G, (K+1, dn) or (B, K+1, dn), in which a span of sources is
+    trunk and learned rows (a learned layout's coefficient values may change
+    from call to call); other calls raise ValueError.  It holds the hidden
+    states H with h_0 = X written once, the adjoint stack, the source
+    adjoints G with g_0 = 0 written once, the trunk-off mixtures, the deltas
+    (each layer's adjoint through its nonlinearity), the weight-gradient
+    buffer, dL/dP of the learned rows, the per-layer views of these and of
+    the last two weight arrays it was given, and member-major views Hm and
+    Gm of H and G, (K+1, dn) or (B, K+1, dn), in which a span of sources is
     one matrix per member.  ins[k] is the span (first, last + 1) of layer
     k's sources and outs[i] that of the layers reading source i.  The next
     evaluation overwrites all of them, the returned weight gradients
@@ -260,9 +285,8 @@ class Workspace:
     def __init__(self, state: TrainState, shape: tuple, layout: Layout | None = None):
         K, batch = shape[-3], tuple(shape[:-3])
         hidden = (K + 1,) + batch + state.X.shape
-        layout = _layout(state, matrix=False) if layout is None else layout
-        self.sources, self.trunk = layout.sources, layout.trunk
-        self.learned = layout.params is not None
+        layout = state_layout(state) if layout is None else layout
+        self.sources, self.trunk, self.rows = layout.sources, layout.trunk, layout.rows
         self.X, self.shape, self.tanh = state.X, tuple(shape), state.nonlinearity == "tanh"
         # The pass's matrix products: np.dot's call costs less than
         # np.matmul's, and a stacked batch needs matmul's broadcasting.  Both
@@ -272,13 +296,13 @@ class Workspace:
         # source is added as it is, with the product's bits: at d=128, n=256
         # the one-row product and its add take 32 us, the add alone 8 us
         # (2-vCPU x86-64 VM).
-        self.unit = not batch and not self.learned
+        self.unit = not batch and self.rows is None
         self.ins = [_span(self.sources[k]) for k in range(K + 1)]
         self.outs = [_span([j for j in range(i + 1, K + 1) if i in self.sources[j]])
                      for i in range(K + 1)]
         self.H = np.empty(hidden)
         self.H[0] = state.X
-        self.h, self.h_t = list(self.H), _transposed(self.H)
+        self.h = list(self.H)
         adj = np.empty(hidden)
         self.tmp = np.empty(hidden[1:])
         self.tmp_row = _row(self.tmp)
@@ -288,24 +312,41 @@ class Workspace:
         G = adj if self.trunk and not self.tanh else np.empty(hidden)
         G[0] = 0.0
         self.adj, self.G = list(adj), list(G)
+        # The residual h_K - Y (adj[K]) as (..., 1, dn) and (..., dn, 1)
+        # views, whose product is a stacked batch's squared norms.
+        self.res = _row(adj[-1])
+        self.res_t, self.squares = self.res.swapaxes(-1, -2), np.empty(batch + (1, 1))
         self.Hm, self.Gm = (np.moveaxis(a.reshape((K + 1,) + batch + (-1,)), 0, -2)
                             for a in (self.H, G))
+        # Layer k's weight gradient is delta_k times the transposed input of
+        # its weight (h_{k-1}, or the mixture s_k with the trunk off); one
+        # product of the stacks gives all K after the reverse pass.  Without
+        # tanh delta_k is adj[k]; with it, G[k] with the trunk on, else a
+        # stack of its own.
+        deltas = adj if not self.tanh else G if self.trunk else np.empty(hidden)
+        self.deltas, self.delta_stack = list(deltas), deltas[1:]
+        inputs = self.H[:-1]
         self.mix = None
         if not self.trunk:
-            self.mix = list(np.empty(hidden))
-            self.mix_t = _transposed(self.mix)
-            self.mix_rows, self.adj_rows = [_row(s) for s in self.mix], [_row(a) for a in adj]
-            self.delta = np.empty(hidden[1:])
+            mix = np.empty(hidden)
+            self.mix, inputs = list(mix), mix[1:]
+            self.mix_rows, self.adj_rows = [_row(s) for s in mix], [_row(a) for a in adj]
+        self.inputs_t = inputs.swapaxes(-1, -2)
         self.grads = np.empty(shape)
-        self.grad_layers = list(_by_layer(self.grads))
+        self.grad_stack = _by_layer(self.grads)
         self._layers = {}
-        self.q = np.empty((K + 1, K + 1))
+        if self.rows is not None:
+            # dL/dP of the learned rows, <h_i, g_j> for every i and j, is one
+            # product of their Hm and Gm.  Only the candidates i < j count:
+            # coeff_gradients multiplies by p, which is exactly 0 elsewhere.
+            self.Hq, self.Gq_t = self.Hm[self.rows], self.Gm[self.rows].swapaxes(-1, -2)
+            self.q = np.empty(self.Hq.shape[:-1] + (K + 1,))
 
     def fits(self, state: TrainState, weights: np.ndarray, layout: Layout) -> bool:
         """Whether this workspace serves an evaluation of these arguments."""
         return (state.X is self.X and weights.shape == self.shape
                 and layout.trunk == self.trunk and layout.sources == self.sources
-                and (layout.params is not None) == self.learned
+                and layout.rows == self.rows
                 and (state.nonlinearity == "tanh") == self.tanh)
 
     def layers(self, weights: np.ndarray) -> tuple[list, list]:
@@ -316,7 +357,7 @@ class Workspace:
             if len(self._layers) == 2:
                 self._layers.clear()
             W = list(_by_layer(weights))
-            views = self._layers[id(weights)] = (weights, W, _transposed(W))
+            views = self._layers[id(weights)] = (weights, W, [w.swapaxes(-1, -2) for w in W])
         return views[1], views[2]
 
 
@@ -350,27 +391,24 @@ def _backward_arrays(work: Workspace, weights: np.ndarray, layout: Layout) -> np
 
     Visits layers K..1.  Layer k's source adjoint g_k (work.G[k]) is what
     multiplies matrix[i, k] h_i in the loss, so dL/dmatrix[i, k] =
-    <h_i, g_k>.  Once layer k's delta, weight gradient and g_k are known,
-    every use of h_{k-1} has been visited, so h_{k-1}'s whole adjoint is
-    gathered there (k >= 2), as the forward mixes a layer's input: the
-    trunk's W_k^T delta_k plus P[..., k-1, lo:hi] times Gm[..., lo:hi, :]
-    over the span (lo, hi) of the layers that read h_{k-1}.  Returns the
-    weight gradients, shaped like the weights, in the workspace's gradient
-    buffer.
+    <h_i, g_k>.  Once layer k's delta and g_k are known, every use of
+    h_{k-1} has been visited, so h_{k-1}'s whole adjoint is gathered there
+    (k >= 2), as the forward mixes a layer's input: the trunk's
+    W_k^T delta_k plus P[..., k-1, lo:hi] times Gm[..., lo:hi, :] over the
+    span (lo, hi) of the layers that read h_{k-1}.  Then one stacked product
+    gives every weight gradient, shaped like the weights, into the
+    workspace's gradient buffer, which it returns.
     """
     _, W_t = work.layers(weights)
-    h, h_t, adj, G, Gm = work.h, work.h_t, work.adj, work.G, work.Gm
-    tmp, mm, out, P = work.tmp, work.mm, work.grad_layers, layout.matrix
+    h, adj, G, Gm = work.h, work.adj, work.G, work.Gm
+    tmp, mm, P = work.tmp, work.mm, layout.matrix
     for k in range(len(h) - 1, 0, -1):
         delta = adj[k]
         if work.tanh:
             np.multiply(h[k], h[k], out=tmp)
             np.subtract(1.0, tmp, out=tmp)
-            delta = np.multiply(delta, tmp, out=G[k] if layout.trunk else work.delta)
-        if layout.trunk:
-            mm(delta, h_t[k - 1], out=out[k - 1])
-        else:
-            mm(delta, work.mix_t[k], out=out[k - 1])
+            delta = np.multiply(delta, tmp, out=work.deltas[k])
+        if not layout.trunk:
             mm(W_t[k - 1], delta, out=G[k])
         if k > 1:
             lo, hi = work.outs[k - 1]
@@ -384,14 +422,8 @@ def _backward_arrays(work: Workspace, weights: np.ndarray, layout: Layout) -> np
                     a += tmp
             else:
                 mm(P[..., k - 1:k, lo:hi], Gm[..., lo:hi, :], out=work.adj_rows[k - 1])
+    np.matmul(work.delta_stack, work.inputs_t, out=work.grad_stack)
     return work.grads
-
-
-def _p_gradients(work: Workspace) -> np.ndarray:
-    """dL/dP as one product, <h_i, g_j> for every i and j, into the
-    workspace's matrix.  Only the candidate entries i < j are meaningful:
-    coeff_gradients multiplies by p, which is exactly 0 elsewhere."""
-    return np.dot(work.Hm, work.Gm.T, out=work.q)
 
 
 def forward(state: TrainState) -> np.ndarray:
@@ -400,18 +432,22 @@ def forward(state: TrainState) -> np.ndarray:
     for k, w in enumerate(state.weights, start=1):
         if not np.all(np.isfinite(w)):
             raise ValueError(f"layer {k}: weight entries must be finite")
-    layout = _layout(state)
+    layout = state_layout(state)
+    _refresh(layout, None)
     work = Workspace(state, state.weights.shape, layout)
     _forward_arrays(work, state.weights, layout)
     return work.h[-1]
 
 
-def _half_squared(r: np.ndarray):
-    """0.5 * ||r||_F^2; for a stacked residual (B, d, n), an array of one
-    value per member, each the same one vdot its solo pass takes."""
+def _half_squared(work: Workspace):
+    """0.5 * ||r||_F^2 of the residual r in work.adj[K]; for a stacked
+    batch, an array of one value per member, each from one product of the
+    member's residual row with its column, with the bits of the vdot of its
+    solo pass."""
+    r = work.adj[-1]
     if r.ndim == 2:
         return 0.5 * float(np.vdot(r, r))
-    return 0.5 * np.array([np.vdot(m, m) for m in r])
+    return 0.5 * np.matmul(work.res, work.res_t, out=work.squares).reshape(-1)
 
 
 def loss_and_gradients(state: TrainState, weights=None, coeffs=None,
@@ -424,9 +460,13 @@ def loss_and_gradients(state: TrainState, weights=None, coeffs=None,
     (loss, weight gradients as (K, d, d), raw-coefficient gradients through
     the softmax Jacobian, or None for a fixed layout).
 
-    For a batch of fixed layouts on the state's X and Y, pass their
-    stack_layouts as `layout` and their weights as (B, K, d, d): the loss is
-    then an array of B values and the weight gradients are (B, K, d, d).
+    For a batch on the state's X and Y, pass the stack_layouts of its
+    members' layouts as `layout`, their weights as (B, K, d, d) and, when
+    the stack has L learned rows, their raw coefficients as
+    (L, K+1, K+1): the loss is then an array of B values, the weight
+    gradients are (B, K, d, d) and the coefficient gradients
+    (L, K+1, K+1).  A layout's learned matrices are refreshed from coeffs'
+    softmax first, once per call.
 
     Without `work` the call builds its own Workspace, so every array it
     returns is fresh.  With one, the pass runs in its buffers and the
@@ -434,18 +474,20 @@ def loss_and_gradients(state: TrainState, weights=None, coeffs=None,
     evaluation (see Workspace).
     """
     weights = state.weights if weights is None else weights
-    if layout is None:
-        layout = _layout(state, coeffs)
+    layout = state_layout(state) if layout is None else layout
     if work is None:
         work = Workspace(state, weights.shape, layout)
     elif not work.fits(state, weights, layout):
         raise ValueError("the workspace was built for another state, parameter "
                          "shape or layout structure")
+    _refresh(layout, coeffs)
     _forward_arrays(work, weights, layout)
     # the residual h_K - Y is the reverse pass's start, work.adj[K]
-    value = _half_squared(np.subtract(work.h[-1], state.Y, out=work.adj[-1]))
+    np.subtract(work.h[-1], state.Y, out=work.adj[-1])
+    value = _half_squared(work)
     wgrads = _backward_arrays(work, weights, layout)
     cgrads = None
     if layout.params is not None:
-        cgrads = coeff_gradients(layout.params, layout.matrix, _p_gradients(work))
+        q = work.mm(work.Hq, work.Gq_t, out=work.q)
+        cgrads = coeff_gradients(layout.params, layout.matrix[layout.rows], q)
     return value, wgrads, cgrads

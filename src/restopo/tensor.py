@@ -32,7 +32,7 @@ def make_rng(seed: int) -> np.random.Generator:
 def frobenius_norm(a: np.ndarray):
     """Frobenius norm of a matrix; for a stack of matrices (..., m, n), an
     array of the norm of each."""
-    norms = np.sqrt(np.sum(a * a, axis=(-2, -1)))
+    norms = np.sqrt(np.add.reduce(a * a, axis=(-2, -1)))
     return float(norms) if norms.ndim == 0 else norms
 
 

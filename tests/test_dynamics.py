@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -247,11 +249,24 @@ class TestRunGd:
 
     def test_a_learned_run_normalizes_once_per_evaluation(self, monkeypatch):
         # 5 steps make 6 evaluations, the budget step's included; building
-        # the workspace reads the layout's structure without a softmax
+        # the workspace reads the layout's structure without a softmax.  In
+        # a batch, one softmax of the stacked learned rows serves each
+        # stacked evaluation.
         calls, real = [], network.normalize
         monkeypatch.setattr(network, "normalize", lambda *a: calls.append(a) or real(*a))
         run_gd(ancre_state(), 0.05, 5)
         assert len(calls) == 6
+        evals, real_eval = [], dynamics.loss_and_gradients
+        monkeypatch.setattr(dynamics, "loss_and_gradients",
+                            lambda *a: evals.append(a) or real_eval(*a))
+        calls.clear()
+        learned = [ancre_state(seed=s) for s in (1, 2)]
+        fixed = [dataclasses.replace(learned[0], ancre=None, topology=Topology.cascaded(3)),
+                 dataclasses.replace(learned[0], ancre=None, topology=Topology.none(3))]
+        learned[1] = dataclasses.replace(learned[1], X=learned[0].X, Y=learned[0].Y)
+        train_batch([learned[0], *fixed, learned[1]], "gd", 0.05, 5)
+        assert len(evals) == 6 and len(calls) == 6
+        assert all(c.shape == (2, 4, 4) for _, c, *_ in calls)
 
     @pytest.mark.parametrize("bad,match", [
         (dict(lr_c=-1.0), "lr_c"),           # would ascend on the coefficients
@@ -270,12 +285,27 @@ def batch_member(w1, w2, topology, X=np.array([[1.0]])):
                       Y=np.array([[0.5]]), topology=topology)
 
 
+def learned_member(w1, w2, mode, trunk=True):
+    ancre = AncreParams(K=2, c={(0, 1): 0.0, (0, 2): 0.3, (1, 2): -0.2}, mode=mode,
+                        temperature=0.5)
+    return TrainState(weights=[np.full((1, 1), w1), np.full((1, 1), w2)],
+                      X=np.array([[1.0]]), Y=np.array([[0.5]]), ancre=ancre, trunk=trunk)
+
+
 class TestTrainBatch:
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("method", ["gd", "euler", "rk4"])
     def test_members_match_solo_runs(self, method):
+        for mode in ("ingoing", "outgoing"):
+            self._members_match_solo_runs(method, mode)
+
+    def _members_match_solo_runs(self, method, mode):
+        # the learned members of one batch share a recipe, so each mode
+        # trains in a batch of its own; the caller's order puts a learned
+        # member first, and the stack's learned rows are its last
         members = {
+            "learned_budget": learned_member(0.1, 0.2, mode),
             "budget": batch_member(0.1, 0.1, Topology.cascaded(2)),
             "loss_blowup": batch_member(30.0, 30.0, Topology.none(2)),
             "floor": batch_member(0.0, 0.5, Topology.single(0, 1, 2)),
@@ -287,8 +317,10 @@ class TestTrainBatch:
             # a finite dL/dW2 = ~1e3 * 1e200 whose square overflows: it takes
             # its step, and its loss blows up at the next
             "squares_overflow": batch_member(1e200, 1e-197, Topology.single(0, 2, 2)),
+            # a loss of 4.4e5 whose step takes it past the blow-up threshold
+            "learned_blowup": learned_member(30.0, 30.0, mode),
         }
-        blowups = {"overflow", "squares_overflow"}
+        blowups = {"overflow", "squares_overflow", "learned_blowup"}
         options = RecordOptions(record_every=3, stop_below=1e-12)
         step, n_steps = 0.1, 20
         batch = train_batch(list(members.values()), method, step, n_steps, options=options)
@@ -297,7 +329,8 @@ class TestTrainBatch:
                 solo, solo_final = run_gd(st, step, n_steps, options=options)
             else:
                 solo, solo_final = integrate_gf(st, step, step * n_steps, method, options)
-            assert traj.stop_reason == ("loss_blowup" if kind in blowups else kind)
+            assert traj.stop_reason == ("loss_blowup" if kind in blowups
+                                        else kind.removeprefix("learned_"))
             assert traj.stop_reason == solo.stop_reason
             assert traj.steps == solo.steps
             assert traj.diverged == solo.diverged
@@ -306,7 +339,12 @@ class TestTrainBatch:
             np.testing.assert_array_equal(traj.weight_fro_norms, solo.weight_fro_norms)
             for a, b in zip(final.weights, solo_final.weights):
                 np.testing.assert_array_equal(a, b)
+            if st.ancre is not None:
+                assert final.ancre.mode == mode
+                np.testing.assert_array_equal(final.ancre.c, solo_final.ancre.c)
+                assert np.any(final.ancre.c != st.ancre.c)
         assert batch[0][0].steps == n_steps and batch[0][0].iters[-1] == n_steps
+        assert batch[-1][0].steps < n_steps
 
         other_X = batch_member(0.1, 0.1, Topology.none(2), X=np.array([[2.0]]))
         deeper = TrainState(weights=[np.eye(1)] * 3, X=np.array([[1.0]]),
@@ -314,6 +352,49 @@ class TestTrainBatch:
         for stranger in (other_X, deeper):
             with pytest.raises(ValueError):
                 train_batch([members["budget"], stranger], method, step, n_steps)
+
+    def test_a_nonfinite_coefficient_gradient_stops_its_own_member(self, monkeypatch):
+        # the third evaluation returns an inf coefficient gradient for the
+        # second learned row, the batch's last member: it alone stops there
+        evals, real = [], dynamics.loss_and_gradients
+
+        def last_row_inf(*args):
+            value, wgrads, cgrads = real(*args)
+            evals.append(value)
+            if len(evals) == 3:
+                cgrads[-1, 0, 1] = np.inf
+            return value, wgrads, cgrads
+
+        members = [learned_member(0.1, 0.2, "ingoing"),
+                   batch_member(0.1, 0.1, Topology.cascaded(2)),
+                   learned_member(0.2, 0.1, "ingoing")]
+        monkeypatch.setattr(dynamics, "loss_and_gradients", last_row_inf)
+        batch = train_batch(members, "gd", 0.1, 6, options=RecordOptions(record_every=5))
+        monkeypatch.setattr(dynamics, "loss_and_gradients", real)
+        assert [traj.stop_reason for traj, _ in batch] == ["budget", "budget",
+                                                            "nonfinite_grad"]
+        assert batch[2][0].iters.tolist() == [0, 2]
+        for st, (traj, final) in zip(members[:2], batch):
+            solo, solo_final = run_gd(st, 0.1, 6, options=RecordOptions(record_every=5))
+            np.testing.assert_array_equal(traj.losses, solo.losses)
+            np.testing.assert_array_equal(final.weights, solo_final.weights)
+
+    def test_rejects_members_that_cannot_share_a_stack(self):
+        # a fixed layout keeps its trunk, so a trunk-off learned member
+        # trains alone; learned members share one softmax recipe
+        fixed = batch_member(0.1, 0.1, Topology.cascaded(2))
+        with pytest.raises(ValueError, match="trunk"):
+            train_batch([fixed, learned_member(0.1, 0.2, "ingoing", trunk=False)], "gd",
+                        0.1, 3)
+        with pytest.raises(ValueError, match="mode and temperature"):
+            train_batch([fixed, learned_member(0.1, 0.2, "ingoing"),
+                         learned_member(0.1, 0.2, "outgoing")], "gd", 0.1, 3)
+        trunk_off = [learned_member(0.1, 0.2, "ingoing", trunk=False),
+                     learned_member(0.3, 0.2, "ingoing", trunk=False)]
+        for (traj, final), st in zip(train_batch(trunk_off, "gd", 0.1, 3), trunk_off):
+            solo, solo_final = run_gd(st, 0.1, 3)
+            np.testing.assert_array_equal(traj.losses, solo.losses)
+            np.testing.assert_array_equal(final.ancre.c, solo_final.ancre.c)
 
     @pytest.mark.parametrize("bad,match", [
         (dict(lr_c=-1.0), "lr_c"),

@@ -10,8 +10,9 @@ from restopo.cli import main as cli_main
 from restopo.dynamics import RecordOptions, balance_drift, integrate_gf
 from restopo.experiments import (ExperimentConfig, compare, figure_instance,
                                  load_record, parse_topology, render_compare, run)
-from restopo.network import Topology
-from restopo.oracles import lb_witness_init, ub_witness_init
+from restopo.network import Topology, loss_and_gradients
+from restopo.oracles import (delta_threshold, lb_witness_init, ub_witness_init,
+                             upper_bound_curve)
 
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -192,6 +193,38 @@ class TestInvariantChecks:
         e11, e12 = np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([[0.0, 1.0], [0.0, 0.0]])
         assert experiments._w2w1_spectral_norms(np.array([[e11, e12, e11]])).tolist() == [0.0]
 
+    def test_upper_bound_envelope_fails_where_convergence_is_sublinear(self):
+        # the ub instance under its own 0:2 shortcut meets the envelope; under
+        # 0:1 it converges sublinearly and ends 7.0e3 times above it
+        state, _, L0, _ = ub_witness_init(4, 0.5, 1)
+        values = {}
+        for topology in (Topology.single(0, 2, 3), Topology.single(0, 1, 3)):
+            traj, _ = integrate_gf(dataclasses.replace(state, topology=topology), 1e-3,
+                                   20.0, "euler", RecordOptions(record_every=10))
+            env = upper_bound_curve(L0, 0.5, traj.times)
+            values[topology.label()] = experiments._upper_bound_envelope_check(
+                traj.losses, env)
+        assert values["0:2"]["name"] == "upper_bound_envelope"
+        assert values["0:2"]["passed"] and values["0:2"]["value"] == pytest.approx(1.0)
+        assert not values["0:1"]["passed"]
+        assert values["0:1"]["value"] == pytest.approx(7.02e3, rel=1e-2)
+
+    def test_delta_compliant_init_fails_one_halving_short(self):
+        # seed 1 at lam 0.5 needs one halving; without it the largest
+        # ||W_k(0)||_F is 2.52e-2, above the delta of its own loss, 2.09e-2
+        state, thr, _, halvings = ub_witness_init(4, 0.5, 1)
+        assert halvings == 1
+        check = experiments._delta_compliant_init_check(
+            [np.linalg.norm(w) for w in state.weights], thr.used, halvings)
+        assert check["name"] == "delta_compliant_init" and check["passed"]
+        short = 2.0 * state.weights
+        L0, _, _ = loss_and_gradients(dataclasses.replace(state, weights=short))
+        check = experiments._delta_compliant_init_check(
+            [np.linalg.norm(w) for w in short], delta_threshold(0.5, L0).used, 0)
+        assert not check["passed"]
+        assert check["value"] == pytest.approx(2.52e-2, abs=1e-4)
+        assert check["bound"] == pytest.approx(2.09e-2, abs=1e-4)
+
     def test_balance_drift_halving_fails_at_roundoff_drift(self):
         # Euler's drift halves with dt; RK4's conserves the gap to roundoff,
         # so its drift ratios have no order and every halving check fails
@@ -280,6 +313,28 @@ class TestRun:
                                           output_dir=str(tmp_path))
         rec = run(cfg)
         assert len(rec["curves"]) == 45 + 1 + 1
+
+    @pytest.mark.parametrize("trunk", [True, False])
+    def test_the_ancre_curve_joins_the_fixed_batch_when_it_keeps_its_trunk(
+            self, tmp_path, monkeypatch, trunk):
+        batches, real = [], experiments.train_batch
+        monkeypatch.setattr(experiments, "train_batch",
+                            lambda states, *a: batches.append(states) or real(states, *a))
+        solo, real_gd = [], experiments.run_gd
+        monkeypatch.setattr(experiments, "run_gd",
+                            lambda state, *a: solo.append(state) or real_gd(state, *a))
+        rec = run(ExperimentConfig.for_preset("topo-3layer", iters=20, trunk=trunk,
+                                              output_dir=str(tmp_path)))
+        assert list(rec["curves"]) == ["none", "cascaded", "0:1", "0:2", "ancre"]
+        [batch] = batches
+        if trunk:
+            assert len(batch) == 5 and batch[-1].ancre is not None and not solo
+        else:
+            # a fixed layout keeps its trunk, so a trunk-off ANCRe curve
+            # trains alone
+            assert len(batch) == 4 and all(st.ancre is None for st in batch)
+            [state] = solo
+            assert state.ancre is not None and not state.trunk
 
     def test_ancre_preset_emits_heatmap(self, tmp_path):
         cfg = ExperimentConfig.for_preset("ancre-lnn", seed=1, iters=300,

@@ -5,7 +5,7 @@ import pytest
 
 from restopo.ancre import AncreParams, candidate_pairs
 from restopo.network import (Topology, TrainState, Workspace, forward, loss_and_gradients,
-                             stack_layouts)
+                             stack_layouts, state_layout)
 from restopo.oracles import fd_gradient, pack_state
 from restopo.tensor import ShapeError, make_rng, random_orthogonal_data
 
@@ -376,6 +376,74 @@ class TestWorkspace:
         for draw in range(5):
             _assert_members_match_solo(topologies, nonlinearity, base_seed=draw,
                                        first_seed=10 * draw + 1)
+
+    @pytest.mark.parametrize("mode", ["ingoing", "outgoing"])
+    @pytest.mark.parametrize("nonlinearity", ["none", "tanh"])
+    def test_stacked_learned_rows_match_solo(self, mode, nonlinearity):
+        # fixed layouts first, then two learned members of one recipe: each
+        # member's loss and weight gradients, and each learned member's
+        # coefficient gradients, are its solo pass's, bit for bit
+        K, base = 4, make_state(K=4, d=5, n=7, seed=8)
+        learned = [_mixing(K, mode, seed) for seed in (1, 2)]
+        states = [TrainState(weights=make_state(K=K, d=5, n=7, seed=20 + m).weights,
+                             X=base.X, Y=base.Y, topology=source, nonlinearity=nonlinearity)
+                  for m, source in enumerate((THREE_READERS, Topology.cascaded(K)))]
+        states += [TrainState(weights=make_state(K=K, d=5, n=7, seed=30 + m).weights,
+                              X=base.X, Y=base.Y, ancre=params, nonlinearity=nonlinearity)
+                   for m, params in enumerate(learned)]
+        layout = stack_layouts([st.topology.layout for st in states[:2]]
+                               + [state_layout(st) for st in states[2:]])
+        assert layout.rows == slice(2, None)
+        weights = np.array([st.weights for st in states])
+        coeffs = np.array([params.c for params in learned])
+        work = Workspace(states[0], weights.shape, layout)
+        for _ in range(2):  # a second pass refreshes the learned rows again
+            value, wgrads, cgrads = loss_and_gradients(states[0], weights, coeffs, layout,
+                                                       work)
+            assert cgrads.shape == (2, K + 1, K + 1)
+            for m, st in enumerate(states):
+                solo = loss_and_gradients(st)
+                assert value[m] == solo[0]
+                np.testing.assert_array_equal(wgrads[m], solo[1])
+                if m >= 2:
+                    np.testing.assert_array_equal(cgrads[m - 2], solo[2])
+            coeffs = coeffs + np.triu(np.full((K + 1, K + 1), 0.5), 1)
+            learned = [params.with_coeffs(c) for params, c in zip(learned, coeffs)]
+            states[2:] = [dataclasses.replace(st, ancre=params)
+                          for st, params in zip(states[2:], learned)]
+
+    def test_stack_rejects_learned_rows_out_of_place(self):
+        fixed, learned = Topology.cascaded(3).layout, state_layout(
+            make_state(ancre=AncreParams.uniform(3)))
+        with pytest.raises(ValueError, match="last"):
+            stack_layouts([learned, fixed])
+        other = state_layout(make_state(ancre=AncreParams.uniform(3, mode="outgoing")))
+        with pytest.raises(ValueError, match="temperature"):
+            stack_layouts([fixed, learned, other])
+        off = state_layout(make_state(ancre=AncreParams.uniform(3), trunk=False))
+        with pytest.raises(ValueError, match="trunk"):
+            stack_layouts([fixed, off])
+
+    def test_stacked_loss_is_each_members_vdot(self):
+        # the stacked loss is one (B, 1, dn) by (B, dn, 1) product; each
+        # value is the vdot of the member's own residual, bit for bit,
+        # including a member whose residual is finite but whose squares
+        # overflow to inf
+        topologies = [Topology.cascaded(3), Topology.none(3), Topology.single(1, 3, 3)]
+        for d, n in ((1, 1), (4, 6), (16, 48)):
+            base = make_state(d=d, n=n, seed=4)
+            states = [TrainState(weights=make_state(d=d, n=n, seed=s).weights, X=base.X,
+                                 Y=base.Y, topology=t) for s, t in enumerate(topologies)]
+            states[1] = dataclasses.replace(states[1], weights=1e60 * states[1].weights)
+            weights = np.array([st.weights for st in states])
+            layout = stack_layouts([t.layout for t in topologies])
+            with np.errstate(over="ignore", invalid="ignore"):
+                value, _, _ = loss_and_gradients(states[0], weights, None, layout)
+                for m, st in enumerate(states):
+                    r = forward(st) - st.Y
+                    assert value[m] == 0.5 * float(np.vdot(r, r))
+            r = forward(states[1]) - states[1].Y
+            assert np.all(np.isfinite(r)) and value[1] == np.inf
 
     def test_lone_one_source_layers_add_the_source_as_it_is(self):
         # each layer reads at most one shortcut source and each source feeds

@@ -33,8 +33,8 @@ def test_trace_boundaries_exist(spans):
 
 
 def test_tracer_survives_a_batched_run(spans, tmp_path):
-    # topo-3layer trains its four fixed layouts as one batch; eval_flops
-    # must read the first argument of that batch's evals
+    # topo-3layer trains its four fixed layouts and its ANCRe curve as one
+    # batch; eval_flops must read the first argument of that batch's evals
     tracer = spans.Tracer()
     with tracer.installed(restopo):
         restopo.experiments.run(restopo.experiments.ExperimentConfig.for_preset(
@@ -81,3 +81,19 @@ def test_every_step_and_the_budget_step_reach_network_eval(spans, tmp_path):
     [curve] = record["curves"].values()
     assert curve["steps"] == 5
     assert tracer.span_totals()["network.eval"][0] == 6
+
+
+def test_a_batched_ancre_curve_reaches_normalize_and_coeff_gradients(spans, tmp_path):
+    # topo-3layer trains its ANCRe curve in the batch of its fixed layouts:
+    # each stacked evaluation refreshes the learned row through the wrapped
+    # network.normalize and chains its gradients through the wrapped
+    # network.coeff_gradients, so neither ancre.*_calls count reads 0
+    tracer = spans.Tracer()
+    with tracer.installed(restopo):
+        record = restopo.experiments.run(restopo.experiments.ExperimentConfig.for_preset(
+            "topo-3layer", iters=4, output_dir=str(tmp_path)))
+    assert len(record["curves"]) == 5
+    totals = tracer.span_totals()
+    assert totals["network.eval"][0] == 5
+    assert totals["ancre.normalize"][0] == totals["network.eval"][0]
+    assert totals["ancre.coeff_gradients"][0] == totals["network.eval"][0]
