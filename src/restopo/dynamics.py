@@ -23,9 +23,12 @@ RK4 stage parameters and the weighted sum of k1..k4 are built in
 preallocated buffers (each stage's gradients are folded into the sum
 before the next evaluation overwrites them), and a lone member is
 evaluated without the member axis, as a solo run.  A record step writes
-one row for the whole batch, each member in its own column.
-Evaluations go through this module's loss_and_gradients name, which the
-benchmark's tracer wraps.
+one row for the whole batch, each member in its own column.  The driver
+counts each member's evaluations, one per stacked pass it takes part in,
+into its trajectory.  Evaluations go through this module's
+loss_and_gradients name, which the benchmark's tracer wraps.  A step
+calls array methods and ufuncs, none of the functions that pass through
+numpy's __array_function__ dispatch (np.dot, np.vdot, np.copyto).
 """
 
 from __future__ import annotations
@@ -88,6 +91,11 @@ class Trajectory:
     # exceeded DIVERGENCE_THRESHOLD or was not finite) or "nonfinite_grad";
     # the last two are divergence.
     stop_reason: str = "budget"
+    # The gradient evaluations the driver made for this curve: one per
+    # stacked pass it took part in, so 1 per GD or Euler step and 4 per RK4
+    # step, plus the one at the step where it stopped; None when no driver
+    # counted them.
+    evals: int | None = None
 
     @property
     def steps(self) -> int:
@@ -159,10 +167,11 @@ class _Recorder:
             self.weights[n, cols] = weights
         self.written, self.n = n + 1, n + keep
 
-    def build(self, col: int, stop_reason: str) -> Trajectory:
-        """Column col's trajectory, up to the row written last.  A lone
-        member's channels are views (its recorder is dropped once this
-        returns); a batch member's are copied out of the shared rows."""
+    def build(self, col: int, stop_reason: str, evals: int) -> Trajectory:
+        """Column col's trajectory, up to the row written last, which took
+        `evals` gradient evaluations.  A lone member's channels are views
+        (its recorder is dropped once this returns); a batch member's are
+        copied out of the shared rows."""
         rows, lone = slice(self.written), self.losses.shape[1] == 1
 
         def column(chan):
@@ -173,14 +182,18 @@ class _Recorder:
         iters = self.iters[rows] if lone else self.iters[rows].copy()
         return Trajectory(times=iters * self.time_scale, iters=iters,
                           losses=column(self.losses), weight_fro_norms=column(self.fro),
-                          weights=column(self.weights), stop_reason=stop_reason)
+                          weights=column(self.weights), stop_reason=stop_reason,
+                          evals=evals)
 
 
 def _finite(grads: np.ndarray | None) -> bool:
     """A one-dot-product pre-check: true only if every entry is finite.  A
     sum of squares that is not finite (an entry is not, or the squares
     overflow) says nothing; _nonfinite_rows then checks each entry."""
-    return grads is None or math.isfinite(np.vdot(grads, grads))
+    if grads is None:
+        return True
+    flat = grads.reshape(-1)
+    return math.isfinite(flat.dot(flat))
 
 
 def _nonfinite_rows(grads: np.ndarray | None) -> set:
@@ -216,7 +229,7 @@ def _stage(active: _Active, k: int, dt: float, kw: np.ndarray,
             np.subtract(theta, np.multiply(g, dt if k == 3 else 0.5 * dt, out=stage),
                         out=stage)
         if k == 1:
-            np.copyto(acc, g)
+            acc[...] = g
         elif k < 4:
             acc += np.multiply(g, 2, out=g)
         else:
@@ -271,20 +284,21 @@ class _Active:
     Holds their weights and the learned members' raw coefficients in that
     form, updated in place, one network Workspace and the update's buffers;
     a run builds a new one whenever the active set shrinks.  members[row]
-    is the recorder column of the member in that row."""
+    is the recorder column of the member in that row.  Every member of the
+    set has taken part in each of the run's `evals` passes so far."""
 
     def __init__(self, states, members: list, weights: np.ndarray,
-                 coeffs: np.ndarray | None):
+                 coeffs: np.ndarray | None, evals: int = 0):
         self.members, self.lone = members, len(members) == 1
         contiguous = members == list(range(members[0], members[0] + len(members)))
         self.cols = slice(members[0], members[-1] + 1) if contiguous else np.array(members)
         self.state = states[members[0]]
-        self.weights, self.coeffs = weights, coeffs
+        self.weights, self.coeffs, self.evals = weights, coeffs, evals
         learned = 0 if coeffs is None else 1 if self.lone else len(coeffs)
         self.first = len(members) - learned
         layouts = [state_layout(states[m]) for m in members]
-        self.layout = layouts[0] if self.lone else stack_layouts(layouts)
-        self.work = Workspace(self.state, weights.shape, self.layout)
+        self.work = Workspace(self.state, weights.shape,
+                              layouts[0] if self.lone else stack_layouts(layouts))
         self.stage, self.acc = np.empty_like(weights), np.empty_like(weights)
         self.stage_c = self.acc_c = None
         if coeffs is not None:
@@ -292,8 +306,9 @@ class _Active:
 
     def grad(self, weights: np.ndarray, coeffs: np.ndarray | None):
         """(losses as a list, weight gradients, coefficient gradients)."""
-        value, wgrads, cgrads = loss_and_gradients(self.state, weights, coeffs,
-                                                   self.layout, self.work)
+        value, wgrads, cgrads = loss_and_gradients(self.state, weights, coeffs, None,
+                                                   self.work)
+        self.evals += 1
         return [value] if self.lone else value.tolist(), wgrads, cgrads
 
     def rows(self, a: np.ndarray | None) -> np.ndarray | None:
@@ -315,7 +330,7 @@ class _Active:
         keep_c = [row - self.first for row in keep if row >= self.first]
         active = _Active(states, [self.members[row] for row in keep],
                          _take(self.rows(self.weights), keep, lone),
-                         _take(self.rows(self.coeffs), keep_c, lone))
+                         _take(self.rows(self.coeffs), keep_c, lone), self.evals)
         return (active, _take(self.rows(wgrads), keep, lone),
                 _take(self.rows(cgrads), keep_c, lone))
 
@@ -371,7 +386,7 @@ def _drive(states, method: str, step: float, n_steps: int, lr_c: float | None,
             weights, coeffs = active.rows(active.weights), active.rows(active.coeffs)
             for row, reason in stops.items():
                 member = active.members[row]
-                results[member] = (rec.build(member, reason), _with_parameters(
+                results[member] = (rec.build(member, reason, active.evals), _with_parameters(
                     states[member], weights[row],
                     None if row < active.first else coeffs[row - active.first]))
             keep = [row for row in range(len(values)) if row not in stops]
@@ -509,11 +524,24 @@ def classify_rate(traj: Trajectory, tail_fraction: float = 0.5,
                        note=note)
 
 
+# The entries of one block of balance_gap's squares (512 KiB).
+GAP_BLOCK = 1 << 16
+
+
 def balance_gap(weights: np.ndarray) -> np.ndarray:
     """||W1||_F^2 - ||W2||_F^2 of each record of (records, K, d, d) weights,
-    a record at a time: no temporary of the size of `weights`."""
-    return np.fromiter((np.sum(w[0] ** 2) - np.sum(w[1] ** 2) for w in weights), float,
-                       len(weights))
+    reduced a block of records at a time, whose squares of one layer hold
+    at most GAP_BLOCK entries (one record's where d^2 exceeds that): no
+    temporary of the size of `weights`.  Each record's sums are those of
+    np.sum over that record's squares, bit for bit."""
+    d = weights.shape[-1]
+    size = max(1, GAP_BLOCK // (d * d))
+    gap = np.empty(len(weights))
+    for lo in range(0, len(weights), size):
+        block = weights[lo:lo + size]
+        np.subtract(np.add.reduce(block[:, 0] ** 2, axis=(-2, -1)),
+                    np.add.reduce(block[:, 1] ** 2, axis=(-2, -1)), out=gap[lo:lo + size])
+    return gap
 
 
 def balance_drift(traj: Trajectory) -> float:

@@ -340,6 +340,7 @@ def _curve(cfg: ExperimentConfig, record: dict, files: dict, curves: list,
             "final_loss": float(traj.losses[-1]),
             "records": len(traj),
             "steps": traj.steps,
+            "evals": traj.evals,
             "stop_reason": traj.stop_reason,
             "diverged": traj.diverged,
         }
@@ -441,6 +442,47 @@ def _w3_growth_check(traj: Trajectory, L0: float) -> dict:
                   note="max over t > 0 of (||W3(t)||_F - ||W3(0)||_F - 1e-3) / sqrt(t L0)")
 
 
+def _witness_diagonals(weights: np.ndarray) -> tuple:
+    """The lower-bound witness's coordinates (w, u, v), each (records, d),
+    from its (records, 3, d, d) recorded weights: the diagonals of W1 plus
+    its 0:1 shortcut's identity, of W2 and of W3."""
+    diagonals = np.diagonal(weights, axis1=-2, axis2=-1)
+    return diagonals[:, 0, :] + 1.0, diagonals[:, 1, :], diagonals[:, 2, :]
+
+
+def _diag_oracle_match_check(full: tuple, oracle: tuple) -> dict:
+    """The lower-bound witness's diagonal oracle: the recorded diagonals
+    (w, u, v) in `full`, each (records, d), match the decoupled-coordinate
+    oracle's in `oracle` to a relative 1e-6 (relative to the oracle's
+    magnitude, floored at 1e-30)."""
+    rel = 0.0
+    for got, want in zip(full, oracle):
+        rel = max(rel, float(np.max(np.abs(got - want) / np.maximum(np.abs(want), 1e-30))))
+    return _check("diag_oracle_match", rel, 1e-6, "<=",
+                  note="max relative error of W diagonals vs the "
+                       "decoupled-coordinate oracle")
+
+
+def _witness_u_equals_v_check(u: np.ndarray, v: np.ndarray) -> dict:
+    """The lower-bound witness keeps W2's and W3's last diagonal entries
+    equal along the flow: u and v, per record, agree to 1e-10."""
+    return _check("witness_u_equals_v", float(np.max(np.abs(u - v))), 1e-10, "<=")
+
+
+def _witness_chain_check(w: np.ndarray, u: np.ndarray) -> dict:
+    """The lower-bound witness's chain 0 <= u <= w <= 1 holds at every
+    record, to 1e-9: the value is its largest violation."""
+    violation = max(float(np.max(-u)), float(np.max(u - w)), float(np.max(w - 1.0)))
+    return _check("witness_0_le_u_le_w_le_1", violation, 1e-9, "<=")
+
+
+def _witness_cbrt_check(w: np.ndarray, a: np.ndarray) -> dict:
+    """The lower-bound witness's w stays at or above cbrt(|a|), a = w u v,
+    at every record, to 1e-9."""
+    return _check("witness_w_dominates_cbrt_a", float(np.max(np.cbrt(np.abs(a)) - w)),
+                  1e-9, "<=")
+
+
 # ---------------------------------------------------------------------------
 # presets
 
@@ -536,27 +578,15 @@ def _run_lb_witness(cfg: ExperimentConfig, record: dict, files: dict):
 
     oracle = diag_integrate(diag0, cfg.dt, cfg.t_end, method="rk4",
                             record_every=cfg.record_every)
-    diagonals = np.diagonal(traj.weights, axis1=-2, axis2=-1)
-    full_w = diagonals[:, 0, :] + 1.0
-    full_u = diagonals[:, 1, :]
-    full_v = diagonals[:, 2, :]
-    rel = 0.0
-    for full, orc in ((full_w, oracle.w), (full_u, oracle.u), (full_v, oracle.v)):
-        rel = max(rel, float(np.max(np.abs(full - orc) /
-                                    np.maximum(np.abs(orc), 1e-30))))
-    checks.append(_check("diag_oracle_match", rel, 1e-6, "<=",
-                         note="max relative error of W diagonals vs the "
-                              "decoupled-coordinate oracle"))
+    full_w, full_u, full_v = _witness_diagonals(traj.weights)
+    checks.append(_diag_oracle_match_check((full_w, full_u, full_v),
+                                           (oracle.w, oracle.u, oracle.v)))
 
     wd, ud, vd = full_w[:, -1], full_u[:, -1], full_v[:, -1]
-    checks.append(_check("witness_u_equals_v", float(np.max(np.abs(ud - vd))),
-                         1e-10, "<="))
-    chain_violation = max(float(np.max(-ud)), float(np.max(ud - wd)),
-                          float(np.max(wd - 1.0)))
-    checks.append(_check("witness_0_le_u_le_w_le_1", chain_violation, 1e-9, "<="))
+    checks.append(_witness_u_equals_v_check(ud, vd))
+    checks.append(_witness_chain_check(wd, ud))
     a_d = wd * ud * vd
-    checks.append(_check("witness_w_dominates_cbrt_a",
-                         float(np.max(np.cbrt(np.abs(a_d)) - wd)), 1e-9, "<="))
+    checks.append(_witness_cbrt_check(wd, a_d))
     checks.append(_nonincreasing_check("witness_a_squared_nonincreasing", a_d ** 2))
     checks.append(_w3_growth_check(traj, float(traj.losses[0])))
 

@@ -30,9 +30,14 @@ layers that read it, as one product of that span of row i of P with their
 source adjoints.  The K weight gradients are then one stacked product of
 the layers' deltas with their transposed inputs.
 
-Both passes run in a Workspace: the hidden states (h_0 = X written once),
-the adjoint stack, the weight-gradient buffer, their per-layer views and
-each layer's and each source's span, resolved once per workspace.  A
+Both passes run in a Workspace, which resolves the recurrence once: for
+each layer, the arrays its products read and write (the trunk's source
+and output, the views of P and of the stacked states over its shortcut
+span, or the one source a lone fixed layout adds as it is, and the tanh
+and trunk-off buffers).  The passes then make only their numpy calls, and
+a lone pass multiplies with np.ndarray.dot, np.dot's C routine without its
+__array_function__ dispatch.  Since the plan binds views of the layout's
+matrix, a workspace serves the one state and Layout it was built with.  A
 training run builds one and passes it to every evaluation, so a small-d
 step pays for its numpy kernels and little else; a call without one builds
 its own and so returns fresh arrays.  It is the same pass either way, bit
@@ -236,11 +241,12 @@ def state_layout(state: TrainState) -> Layout:
                   state.trunk, params, slice(None))
 
 
-def _refresh(layout: Layout, coeffs: np.ndarray | None) -> None:
+def _refresh(work: Workspace, coeffs: np.ndarray | None) -> None:
     """Write the softmax of coeffs (default: the recipe's own) into the
-    layout's learned matrices, if it has any."""
-    if layout.params is not None:
-        normalize(layout.params, coeffs, layout.matrix[layout.rows])
+    learned matrices of the workspace's layout, if it has any."""
+    params = work.layout.params
+    if params is not None:
+        normalize(params, coeffs, work.p)
 
 
 def _by_layer(a: np.ndarray) -> np.ndarray:
@@ -261,135 +267,163 @@ def _span(rows: list) -> tuple:
 
 
 class Workspace:
-    """The buffers of repeated evaluations of one state at one parameter
-    shape under one layout structure.
+    """The buffers and the per-layer plan of repeated evaluations of one
+    state at one parameter shape under one layout.
 
-    Built from a state (its X and nonlinearity), the shape of the weights
-    it will be given ((K, d, d), or (B, K, d, d) for a stacked batch) and a
-    layout (default: the state's own), it serves every loss_and_gradients
-    call on that state at that shape under a layout with the same sources,
-    trunk and learned rows (a learned layout's coefficient values may change
-    from call to call); other calls raise ValueError.  It holds the hidden
-    states H with h_0 = X written once, the adjoint stack, the source
-    adjoints G with g_0 = 0 written once, the trunk-off mixtures, the deltas
-    (each layer's adjoint through its nonlinearity), the weight-gradient
-    buffer, dL/dP of the learned rows, the per-layer views of these and of
-    the last two weight arrays it was given, and member-major views Hm and
-    Gm of H and G, (K+1, dn) or (B, K+1, dn), in which a span of sources is
-    one matrix per member.  ins[k] is the span (first, last + 1) of layer
-    k's sources and outs[i] that of the layers reading source i.  The next
-    evaluation overwrites all of them, the returned weight gradients
-    included; the loss and the coefficient gradients are fresh objects.
+    Built from a state (its X, Y and nonlinearity), the shape of the
+    weights it will be given ((K, d, d), or (B, K, d, d) for a stacked
+    batch) and a layout (default: the state's own), it serves every
+    loss_and_gradients call on that state at that shape under that Layout
+    object, whose matrix it binds views of: with a workspace, layout=None
+    means its layout.  Another state or shape raises ValueError, and so
+    does any other Layout, even one with the same sources, trunk and rows
+    and other coefficients.  A learned layout's coefficient values may
+    change from call to call: each evaluation refreshes the bound matrix in
+    place.
+
+    It holds the hidden states H with h_0 = X written once, the adjoint
+    stack, the source adjoints G with g_0 = 0 written once, the trunk-off
+    mixtures, the deltas (each layer's adjoint through its nonlinearity),
+    the weight-gradient buffer, dL/dP of the learned rows, the per-layer
+    views of these and of the last two weight arrays it was given, and
+    member-major views Hm and Gm of H and G, (K+1, dn) or (B, K+1, dn), in
+    which a span of sources is one matrix per member.  The recurrence is
+    resolved once, into a plan of the arrays each layer's products read
+    and write (`forward`, layers 1..K, and `backward`, layers K..1), so a
+    pass makes only its numpy calls.  The next evaluation overwrites all of
+    these, the returned weight gradients included; the loss and the
+    coefficient gradients are fresh objects.
+
+    A lone pass multiplies with np.ndarray.dot: the C routine of np.dot,
+    without np.dot's __array_function__ dispatch, which costs about 0.12 us
+    of the 0.45 us of a 4 x 4 product (2-vCPU x86-64 VM).  A stacked batch
+    needs np.matmul's broadcasting, and that ufunc is not dispatched.  A
+    member's bits are its solo pass's either way.
     """
 
     def __init__(self, state: TrainState, shape: tuple, layout: Layout | None = None):
         K, batch = shape[-3], tuple(shape[:-3])
         hidden = (K + 1,) + batch + state.X.shape
-        layout = state_layout(state) if layout is None else layout
-        self.sources, self.trunk, self.rows = layout.sources, layout.trunk, layout.rows
-        self.X, self.shape, self.tanh = state.X, tuple(shape), state.nonlinearity == "tanh"
-        # The pass's matrix products: np.dot's call costs less than
-        # np.matmul's, and a stacked batch needs matmul's broadcasting.  Both
-        # reach the same BLAS product, so a member's bits are its solo pass's.
-        self.mm = np.dot if not batch else np.matmul
+        self.layout = layout = state_layout(state) if layout is None else layout
+        self.state, self.shape, self.tanh = state, tuple(shape), state.nonlinearity == "tanh"
+        trunk, tanh, P, sources = layout.trunk, self.tanh, layout.matrix, layout.sources
+        self.mm = np.matmul if batch else np.ndarray.dot
         # A lone fixed layout's coefficients are exactly 1, so a span of one
         # source is added as it is, with the product's bits: at d=128, n=256
         # the one-row product and its add take 32 us, the add alone 8 us
         # (2-vCPU x86-64 VM).
-        self.unit = not batch and self.rows is None
-        self.ins = [_span(self.sources[k]) for k in range(K + 1)]
-        self.outs = [_span([j for j in range(i + 1, K + 1) if i in self.sources[j]])
-                     for i in range(K + 1)]
-        self.H = np.empty(hidden)
-        self.H[0] = state.X
-        self.h = list(self.H)
+        unit = not batch and layout.rows is None
+        H = np.empty(hidden)
+        H[0] = state.X
         adj = np.empty(hidden)
-        self.tmp = np.empty(hidden[1:])
-        self.tmp_row = _row(self.tmp)
+        self.tmp = tmp = np.empty(hidden[1:])
         # g_k, the adjoint of layer k's source sum, is its delta with the
         # trunk on and without tanh; else it needs a stack of its own.
         # h_0 = X has no adjoint: g_0 = 0 keeps dL/dP's column 0 exactly 0.
-        G = adj if self.trunk and not self.tanh else np.empty(hidden)
+        G = adj if trunk and not tanh else np.empty(hidden)
         G[0] = 0.0
-        self.adj, self.G = list(adj), list(G)
-        # The residual h_K - Y (adj[K]) as (..., 1, dn) and (..., dn, 1)
-        # views, whose product is a stacked batch's squared norms.
-        self.res = _row(adj[-1])
-        self.res_t, self.squares = self.res.swapaxes(-1, -2), np.empty(batch + (1, 1))
-        self.Hm, self.Gm = (np.moveaxis(a.reshape((K + 1,) + batch + (-1,)), 0, -2)
-                            for a in (self.H, G))
+        Hm, Gm = (np.moveaxis(a.reshape((K + 1,) + batch + (-1,)), 0, -2) for a in (H, G))
         # Layer k's weight gradient is delta_k times the transposed input of
         # its weight (h_{k-1}, or the mixture s_k with the trunk off); one
         # product of the stacks gives all K after the reverse pass.  Without
         # tanh delta_k is adj[k]; with it, G[k] with the trunk on, else a
         # stack of its own.
-        deltas = adj if not self.tanh else G if self.trunk else np.empty(hidden)
-        self.deltas, self.delta_stack = list(deltas), deltas[1:]
-        inputs = self.H[:-1]
-        self.mix = None
-        if not self.trunk:
-            mix = np.empty(hidden)
-            self.mix, inputs = list(mix), mix[1:]
-            self.mix_rows, self.adj_rows = [_row(s) for s in mix], [_row(a) for a in adj]
-        self.inputs_t = inputs.swapaxes(-1, -2)
+        deltas = adj if not tanh else G if trunk else np.empty(hidden)
+        mix = None if trunk else np.empty(hidden)
+        inputs = H[:-1] if trunk else mix[1:]
+        self.delta_stack, self.inputs_t = deltas[1:], inputs.swapaxes(-1, -2)
         self.grads = np.empty(shape)
         self.grad_stack = _by_layer(self.grads)
+        self.h_K, self.residual = H[-1], adj[-1]
+
+        # Layer k's shortcut term: the product of the span (lo, hi) of
+        # column k of P with Hm's rows lo..hi-1, into tmp (added to the
+        # trunk's product) or, with the trunk off, into the mixture s_k;
+        # for a lone fixed layout's one source, that source as it is.  Its
+        # reverse gathers h_{k-1}'s adjoint (k >= 2) the same way, from
+        # the span of row k-1 of P over the layers that read h_{k-1}.
+        self.forward = []
+        for k in range(1, K + 1):
+            lo, hi = _span(sources[k])
+            p = hs = term = add = None
+            if not trunk:
+                p, hs, term = P[..., None, lo:hi, k], Hm[..., lo:hi, :], _row(mix[k])
+            elif hi - lo == 1 and unit:
+                add = H[lo]
+            elif lo < hi:
+                p, hs, term, add = P[..., None, lo:hi, k], Hm[..., lo:hi, :], _row(tmp), tmp
+            self.forward.append((p, hs, term, H[k - 1] if trunk else mix[k], H[k], add))
+        self.backward = []
+        for k in range(K, 0, -1):
+            lo, hi = _span([j for j in range(k, K + 1) if k - 1 in sources[j]])
+            g = None if trunk else G[k]
+            p = gs = term = a = add = None
+            if k > 1 and not trunk:
+                p, gs, term = P[..., k - 1:k, lo:hi], Gm[..., lo:hi, :], _row(adj[k - 1])
+            elif k > 1:
+                a = adj[k - 1]
+                if hi - lo == 1 and unit:
+                    add = G[lo]
+                elif lo < hi:
+                    p, gs, term, add = P[..., k - 1:k, lo:hi], Gm[..., lo:hi, :], _row(tmp), tmp
+            self.backward.append((adj[k], H[k], deltas[k], g, p, gs, term, a, add))
+
+        # The loss: with a batch, the product of each member's residual row
+        # (..., 1, dn) with its column (..., dn, 1); alone, the dot of the
+        # residual's flat view with itself, np.vdot's C routine.
+        self.flat = None if batch else adj[-1].reshape(-1)
+        self.res = _row(adj[-1])
+        self.res_t, self.squares = self.res.swapaxes(-1, -2), np.empty(batch + (1, 1))
         self._layers = {}
-        if self.rows is not None:
+        if layout.rows is not None:
             # dL/dP of the learned rows, <h_i, g_j> for every i and j, is one
             # product of their Hm and Gm.  Only the candidates i < j count:
             # coeff_gradients multiplies by p, which is exactly 0 elsewhere.
-            self.Hq, self.Gq_t = self.Hm[self.rows], self.Gm[self.rows].swapaxes(-1, -2)
+            self.p = P[layout.rows]
+            self.Hq, self.Gq_t = Hm[layout.rows], Gm[layout.rows].swapaxes(-1, -2)
             self.q = np.empty(self.Hq.shape[:-1] + (K + 1,))
 
-    def fits(self, state: TrainState, weights: np.ndarray, layout: Layout) -> bool:
+    def fits(self, state: TrainState, weights: np.ndarray, layout: Layout | None) -> bool:
         """Whether this workspace serves an evaluation of these arguments."""
-        return (state.X is self.X and weights.shape == self.shape
-                and layout.trunk == self.trunk and layout.sources == self.sources
-                and layout.rows == self.rows
-                and (state.nonlinearity == "tanh") == self.tanh)
+        return (state is self.state and weights.shape == self.shape
+                and (layout is None or layout is self.layout))
 
     def layers(self, weights: np.ndarray) -> tuple[list, list]:
-        """weights' per-layer views W_k and W_k^T, kept for the last two
-        arrays given (a driver's parameters and its RK4 stage)."""
+        """weights' per-layer views W_k, and the W_k^T last layer first, as
+        the reverse pass visits them; kept for the last two arrays given (a
+        driver's parameters and its RK4 stage)."""
         views = self._layers.get(id(weights))
         if views is None:
             if len(self._layers) == 2:
                 self._layers.clear()
             W = list(_by_layer(weights))
-            views = self._layers[id(weights)] = (weights, W, [w.swapaxes(-1, -2) for w in W])
+            views = self._layers[id(weights)] = (weights, W,
+                                                 [w.swapaxes(-1, -2) for w in W[::-1]])
         return views[1], views[2]
 
 
-def _forward_arrays(work: Workspace, weights: np.ndarray, layout: Layout) -> None:
-    """The hidden recurrence, into work.h (h_0 = X is already there) and,
-    with the trunk off, the layer inputs s_k into work.mix.  Layer k's
-    shortcut term is P[..., lo:hi, k] times Hm[..., lo:hi, :] over its
-    span (lo, hi), added to the trunk's product with the trunk on."""
-    W, _ = work.layers(weights)
-    h, Hm, tmp, mm, P = work.h, work.Hm, work.tmp, work.mm, layout.matrix
-    for k in range(1, len(h)):
-        z = h[k]
-        lo, hi = work.ins[k]
-        if layout.trunk:
-            mm(W[k - 1], h[k - 1], out=z)
-            if hi - lo == 1 and work.unit:
-                z += h[lo]
-            elif lo < hi:
-                mm(P[..., None, lo:hi, k], Hm[..., lo:hi, :], out=work.tmp_row)
-                z += tmp
-        else:
-            mm(P[..., None, lo:hi, k], Hm[..., lo:hi, :], out=work.mix_rows[k])
-            mm(W[k - 1], work.mix[k], out=z)
-        if work.tanh:
-            np.tanh(z, out=z)
+def _forward_arrays(work: Workspace, W: list) -> None:
+    """The hidden recurrence, into the workspace's hidden states (h_0 = X is
+    already there) and, with the trunk off, the layer inputs s_k into their
+    own stack, as the plan work.forward lays it out: per layer, the
+    shortcut term, the trunk's (or the mixture's) product and the term's
+    add, then tanh."""
+    mm, tanh = work.mm, work.tanh
+    for w, (p, hs, term, src, z, add) in zip(W, work.forward):
+        if p is not None:
+            mm(p, hs, term)
+        mm(w, src, z)
+        if add is not None:
+            z += add
+        if tanh:
+            np.tanh(z, z)
 
 
-def _backward_arrays(work: Workspace, weights: np.ndarray, layout: Layout) -> np.ndarray:
+def _backward_arrays(work: Workspace, W_t: list) -> np.ndarray:
     """Reverse accumulation through the hidden recurrence, from the residual
-    in work.adj[K].
+    in adj[K], as the plan work.backward lays it out.
 
-    Visits layers K..1.  Layer k's source adjoint g_k (work.G[k]) is what
+    Visits layers K..1.  Layer k's source adjoint g_k (G[k]) is what
     multiplies matrix[i, k] h_i in the loss, so dL/dmatrix[i, k] =
     <h_i, g_k>.  Once layer k's delta and g_k are known, every use of
     h_{k-1} has been visited, so h_{k-1}'s whole adjoint is gathered there
@@ -399,29 +433,20 @@ def _backward_arrays(work: Workspace, weights: np.ndarray, layout: Layout) -> np
     gives every weight gradient, shaped like the weights, into the
     workspace's gradient buffer, which it returns.
     """
-    _, W_t = work.layers(weights)
-    h, adj, G, Gm = work.h, work.adj, work.G, work.Gm
-    tmp, mm, P = work.tmp, work.mm, layout.matrix
-    for k in range(len(h) - 1, 0, -1):
-        delta = adj[k]
-        if work.tanh:
-            np.multiply(h[k], h[k], out=tmp)
-            np.subtract(1.0, tmp, out=tmp)
-            delta = np.multiply(delta, tmp, out=work.deltas[k])
-        if not layout.trunk:
-            mm(W_t[k - 1], delta, out=G[k])
-        if k > 1:
-            lo, hi = work.outs[k - 1]
-            if layout.trunk:
-                a = adj[k - 1]
-                mm(W_t[k - 1], delta, out=a)
-                if hi - lo == 1 and work.unit:
-                    a += G[lo]
-                elif lo < hi:
-                    mm(P[..., k - 1:k, lo:hi], Gm[..., lo:hi, :], out=work.tmp_row)
-                    a += tmp
-            else:
-                mm(P[..., k - 1:k, lo:hi], Gm[..., lo:hi, :], out=work.adj_rows[k - 1])
+    mm, tanh, tmp = work.mm, work.tanh, work.tmp
+    for wt, (r, hk, delta, g, p, gs, term, a, add) in zip(W_t, work.backward):
+        if tanh:
+            np.multiply(hk, hk, tmp)
+            np.subtract(1.0, tmp, tmp)
+            np.multiply(r, tmp, delta)
+        if g is not None:
+            mm(wt, delta, g)
+        if p is not None:
+            mm(p, gs, term)
+        if a is not None:
+            mm(wt, delta, a)
+            if add is not None:
+                a += add
     np.matmul(work.delta_stack, work.inputs_t, out=work.grad_stack)
     return work.grads
 
@@ -432,21 +457,19 @@ def forward(state: TrainState) -> np.ndarray:
     for k, w in enumerate(state.weights, start=1):
         if not np.all(np.isfinite(w)):
             raise ValueError(f"layer {k}: weight entries must be finite")
-    layout = state_layout(state)
-    _refresh(layout, None)
-    work = Workspace(state, state.weights.shape, layout)
-    _forward_arrays(work, state.weights, layout)
-    return work.h[-1]
+    work = Workspace(state, state.weights.shape)
+    _refresh(work, None)
+    _forward_arrays(work, work.layers(state.weights)[0])
+    return work.h_K
 
 
 def _half_squared(work: Workspace):
-    """0.5 * ||r||_F^2 of the residual r in work.adj[K]; for a stacked
-    batch, an array of one value per member, each from one product of the
-    member's residual row with its column, with the bits of the vdot of its
-    solo pass."""
-    r = work.adj[-1]
-    if r.ndim == 2:
-        return 0.5 * float(np.vdot(r, r))
+    """0.5 * ||r||_F^2 of the residual r in adj[K]; for a stacked batch, an
+    array of one value per member, each from one product of the member's
+    residual row with its column, with the bits of its solo pass's dot."""
+    flat = work.flat
+    if flat is not None:
+        return 0.5 * float(flat.dot(flat))
     return 0.5 * np.matmul(work.res, work.res_t, out=work.squares).reshape(-1)
 
 
@@ -469,25 +492,26 @@ def loss_and_gradients(state: TrainState, weights=None, coeffs=None,
     softmax first, once per call.
 
     Without `work` the call builds its own Workspace, so every array it
-    returns is fresh.  With one, the pass runs in its buffers and the
-    weight gradients are its gradient buffer, valid until its next
-    evaluation (see Workspace).
+    returns is fresh.  With one, the pass runs in its buffers under its
+    layout (layout=None means that one; see Workspace for what it accepts)
+    and the weight gradients are its gradient buffer, valid until its next
+    evaluation.
     """
     weights = state.weights if weights is None else weights
-    layout = state_layout(state) if layout is None else layout
     if work is None:
         work = Workspace(state, weights.shape, layout)
     elif not work.fits(state, weights, layout):
         raise ValueError("the workspace was built for another state, parameter "
-                         "shape or layout structure")
-    _refresh(layout, coeffs)
-    _forward_arrays(work, weights, layout)
-    # the residual h_K - Y is the reverse pass's start, work.adj[K]
-    np.subtract(work.h[-1], state.Y, out=work.adj[-1])
+                         "shape or layout")
+    _refresh(work, coeffs)
+    W, W_t = work.layers(weights)
+    _forward_arrays(work, W)
+    # the residual h_K - Y is the reverse pass's start, adj[K]
+    np.subtract(work.h_K, state.Y, out=work.residual)
     value = _half_squared(work)
-    wgrads = _backward_arrays(work, weights, layout)
+    wgrads = _backward_arrays(work, W_t)
     cgrads = None
-    if layout.params is not None:
-        q = work.mm(work.Hq, work.Gq_t, out=work.q)
-        cgrads = coeff_gradients(layout.params, layout.matrix[layout.rows], q)
+    params = work.layout.params
+    if params is not None:
+        cgrads = coeff_gradients(params, work.p, work.mm(work.Hq, work.Gq_t, work.q))
     return value, wgrads, cgrads

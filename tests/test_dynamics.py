@@ -245,6 +245,7 @@ class TestRunGd:
                              options=RecordOptions(record_every=5))
         assert traj.stop_reason == "nonfinite_grad" and traj.diverged
         assert traj.steps == 2 and traj.iters.tolist() == [0, 2]
+        assert traj.evals == len(losses) == 3
         assert traj.losses[-1] == losses[2] == loss_and_gradients(final)[0]
 
     def test_a_learned_run_normalizes_once_per_evaluation(self, monkeypatch):
@@ -292,6 +293,52 @@ def learned_member(w1, w2, mode, trunk=True):
                       X=np.array([[1.0]]), Y=np.array([[0.5]]), ancre=ancre, trunk=trunk)
 
 
+class TestEvals:
+    """Each trajectory counts the gradient evaluations the driver made for
+    it: 1 per GD or Euler step and 4 per RK4 step, plus the one at the step
+    where it stops (a non-finite-gradient stop: TestRunGd)."""
+
+    @pytest.mark.parametrize("method, evals", [("gd", 8), ("euler", 8), ("rk4", 29)])
+    @pytest.mark.parametrize("make", [small_state, ancre_state])
+    def test_a_budget_run(self, method, evals, make):
+        st = make(seed=2)
+        if method == "gd":
+            traj, _ = run_gd(st, 0.01, 7)
+        else:
+            traj, _ = integrate_gf(st, 0.01, 0.07, method)
+        assert traj.stop_reason == "budget" and traj.steps == 7 and traj.evals == evals
+
+    def test_a_floor_stop(self):
+        # each GD step at lr 0.5 quarters the scalar loss 0.5 (w - 1)^2:
+        # 0.5, 0.125, 0.03125, 0.0078125 <= 0.01 at step 3
+        options = RecordOptions(stop_below=0.01)
+        traj, _ = run_gd(scalar_state(), 0.5, 50, options=options)
+        assert traj.stop_reason == "floor" and traj.steps == 3 and traj.evals == 4
+        # RK4 at dt 0.5: w = 1 - exp(-t) to fourth order, 0.5 e^-2t below
+        # 0.01 from step 4 (t = 2)
+        traj, _ = integrate_gf(scalar_state(), 0.5, 25.0, "rk4", options)
+        assert traj.stop_reason == "floor" and traj.steps == 4 and traj.evals == 17
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("method, evals", [("gd", [21, 2, 1, 1]),
+                                               ("rk4", [81, 5, 1, 1])])
+    def test_batch_members_that_stop_at_different_steps(self, method, evals):
+        # a member stops at step 0 on a non-finite gradient, one at step 0
+        # on its loss floor, one blows up at step 1 and one runs its budget
+        # of 20 steps: each counts only the passes it took part in
+        members = [batch_member(0.1, 0.1, Topology.cascaded(2)),
+                   batch_member(1e200, 1e-197, Topology.single(0, 2, 2)),
+                   batch_member(1e305, 1e-301, Topology.single(0, 2, 2)),
+                   batch_member(0.0, 0.5, Topology.single(0, 1, 2))]
+        options = RecordOptions(stop_below=1e-12)
+        batch = train_batch(members, method, 0.1, 20, options=options)
+        assert [traj.stop_reason for traj, _ in batch] == [
+            "budget", "loss_blowup", "nonfinite_grad", "floor"]
+        assert [traj.steps for traj, _ in batch] == [20, 1, 0, 0]
+        assert [traj.evals for traj, _ in batch] == evals
+
+
 class TestTrainBatch:
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -333,6 +380,7 @@ class TestTrainBatch:
                                         else kind.removeprefix("learned_"))
             assert traj.stop_reason == solo.stop_reason
             assert traj.steps == solo.steps
+            assert traj.evals == solo.evals
             assert traj.diverged == solo.diverged
             np.testing.assert_array_equal(traj.iters, solo.iters)
             np.testing.assert_array_equal(traj.losses, solo.losses)
@@ -538,6 +586,60 @@ class TestBalanceDrift:
                                    options=RecordOptions(record_every=10, weights=True))
             drifts[dt] = balance_drift(traj)
         assert 1.6 <= drifts[2e-3] / drifts[1e-3] <= 2.4
+
+
+class TestBalanceGap:
+    @staticmethod
+    def per_record(weights):
+        """The reference: one np.sum per layer of each record."""
+        return np.array([np.sum(w[0] ** 2) - np.sum(w[1] ** 2) for w in weights])
+
+    @pytest.mark.parametrize("d", [1, 4, 9])
+    def test_matches_the_per_record_sums_across_a_block_boundary(self, d):
+        # a block holds GAP_BLOCK // d^2 records; three more than a block
+        # put the last records in a second one
+        records = dynamics.GAP_BLOCK // (d * d) + 3
+        rng = make_rng(d)
+        weights = rng.standard_normal((records, 3, d, d)) * rng.uniform(
+            0.1, 10.0, (records, 1, 1, 1))
+        gap = dynamics.balance_gap(weights)
+        assert gap.shape == (records,)
+        np.testing.assert_array_equal(gap, self.per_record(weights))
+        # and on a strided view of them
+        view = weights[::2].swapaxes(-1, -2)
+        np.testing.assert_array_equal(dynamics.balance_gap(view), self.per_record(view))
+
+
+def test_a_step_calls_no_dispatched_numpy_function(monkeypatch):
+    # np.dot, np.vdot, np.copyto and np.sum pass through numpy's
+    # __array_function__ dispatch; the driver's step and the network's pass
+    # call none of them, so runs of 100 steps call each as often as runs of
+    # 10 (and so do the record steps in between)
+    names = ("dot", "vdot", "copyto", "sum")
+    counts = dict.fromkeys(names, 0)
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(np, name, counted(name, getattr(np, name)))
+
+    def counts_of_runs(n):
+        counts.update(dict.fromkeys(names, 0))
+        fixed, learned = small_state(seed=1), ancre_state(seed=2)
+        for st in (fixed, learned):
+            run_gd(st, 0.01, n)
+            integrate_gf(st, 0.01, 0.01 * n, "euler")
+            integrate_gf(st, 0.01, 0.01 * n, "rk4")
+        pair = [fixed, dataclasses.replace(fixed, topology=Topology.cascaded(3))]
+        batch = train_batch(pair, "gd", 0.01, n)
+        assert [traj.steps for traj, _ in batch] == [n, n]
+        return dict(counts)
+
+    assert counts_of_runs(100) == counts_of_runs(10)
 
 
 class TestTrajectoryCsv:

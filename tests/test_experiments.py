@@ -11,7 +11,7 @@ from restopo.dynamics import RecordOptions, balance_drift, integrate_gf
 from restopo.experiments import (ExperimentConfig, compare, figure_instance,
                                  load_record, parse_topology, render_compare, run)
 from restopo.network import Topology, loss_and_gradients
-from restopo.oracles import (delta_threshold, lb_witness_init, ub_witness_init,
+from restopo.oracles import (delta_threshold, diag_integrate, lb_witness_init, ub_witness_init,
                              upper_bound_curve)
 
 
@@ -225,6 +225,41 @@ class TestInvariantChecks:
         assert check["value"] == pytest.approx(2.52e-2, abs=1e-4)
         assert check["bound"] == pytest.approx(2.09e-2, abs=1e-4)
 
+    def test_lb_witness_checks_fail_on_counterfactual_diagonals(self):
+        # a short lb witness run (RK4, dt=1e-3, to t=2) passes its four
+        # diagonal checks; each fails where its claim is false
+        state, diag0 = lb_witness_init(4, 2, 1)
+        traj, _ = integrate_gf(state, 1e-3, 2.0, "rk4",
+                               RecordOptions(record_every=100, weights=True))
+        oracle = diag_integrate(diag0, 1e-3, 2.0, method="rk4", record_every=100)
+        full = experiments._witness_diagonals(traj.weights)
+        want = (oracle.w, oracle.u, oracle.v)
+        w, u, v = (x[:, -1] for x in full)
+        passing = [experiments._diag_oracle_match_check(full, want),
+                   experiments._witness_u_equals_v_check(u, v),
+                   experiments._witness_chain_check(w, u),
+                   experiments._witness_cbrt_check(w, w * u * v)]
+        assert [c["name"] for c in passing] == [
+            "diag_oracle_match", "witness_u_equals_v", "witness_0_le_u_le_w_le_1",
+            "witness_w_dominates_cbrt_a"]
+        assert all(c["passed"] for c in passing)
+        assert passing[0]["value"] < 1e-13
+        # an oracle off by 1e-5 relative, against the bound of 1e-6
+        off = experiments._diag_oracle_match_check(full, tuple((1 + 1e-5) * x for x in want))
+        assert not off["passed"] and off["value"] == pytest.approx(1e-5, rel=1e-3)
+        # u and v apart by 1e-6
+        apart = experiments._witness_u_equals_v_check(u, u + 1e-6)
+        assert not apart["passed"] and apart["value"] == pytest.approx(1e-6)
+        # a w above 1
+        above = w.copy()
+        above[-1] = 1.0 + 1e-6
+        chain = experiments._witness_chain_check(above, u)
+        assert not chain["passed"] and chain["value"] == pytest.approx(1e-6)
+        # u = v = 1.5 w, so that cbrt(w u v) = 1.5^(2/3) w exceeds w
+        cbrt = experiments._witness_cbrt_check(w, w * (1.5 * w) ** 2)
+        assert not cbrt["passed"]
+        assert cbrt["value"] == pytest.approx((1.5 ** (2 / 3) - 1) * w.max())
+
     def test_balance_drift_halving_fails_at_roundoff_drift(self):
         # Euler's drift halves with dt; RK4's conserves the gap to roundoff,
         # so its drift ratios have no order and every halving check fails
@@ -293,6 +328,18 @@ class TestRun:
         assert curve["verdict_error"] == "tail window has 6 points; need >= 20"
         saved = load_record(str(tmp_path / "custom_1" / "record.json"))
         assert saved["curves"]["0:2"]["verdict_error"] == curve["verdict_error"]
+
+    def test_each_curve_records_its_evaluations(self, tmp_path):
+        # 20 GD steps of every topo-3layer curve, the batched ANCRe curve's
+        # included, are 21 evaluations; 20 RK4 steps are 81
+        rec = run(ExperimentConfig.for_preset("topo-3layer", iters=20,
+                                              output_dir=str(tmp_path)))
+        assert {name: c["evals"] for name, c in rec["curves"].items()} == dict.fromkeys(
+            ["none", "cascaded", "0:1", "0:2", "ancre"], 21)
+        rec = run(ExperimentConfig.for_preset("custom", optimizer="gf-rk4", dt=0.01,
+                                              t_end=0.2, output_dir=str(tmp_path)))
+        [curve] = rec["curves"].values()
+        assert curve["steps"] == 20 and curve["evals"] == 81
 
     def test_run_directory_layout(self, tmp_path):
         cfg = ExperimentConfig.for_preset("topo-3layer", seed=2, iters=300,

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from restopo.ancre import AncreParams, candidate_pairs
+from restopo.ancre import AncreParams, candidate_pairs, normalize
 from restopo.network import (Topology, TrainState, Workspace, forward, loss_and_gradients,
                              stack_layouts, state_layout)
 from restopo.oracles import fd_gradient, pack_state
@@ -520,6 +520,44 @@ class TestWorkspace:
                           nonlinearity="tanh")
         with pytest.raises(ValueError, match="workspace"):
             loss_and_gradients(tanh, work=work)
+
+    def test_serves_only_the_layout_it_was_built_with(self):
+        # the two stacks share their sources (the union), trunk and rows,
+        # but not their coefficients; the workspace binds views of the first
+        # one's matrix, so the second is refused, as is an equal copy
+        K = 3
+        st = make_state(K=K, topology=Topology.single(0, 2, K), seed=2)
+        pair = [Topology.single(0, 2, K).layout, Topology.none(K).layout]
+        built, swapped = stack_layouts(pair), stack_layouts(pair[::-1])
+        assert (swapped.sources, swapped.trunk, swapped.rows) == (
+            built.sources, built.trunk, built.rows)
+        weights = np.array([st.weights, 0.5 * st.weights])
+        work = Workspace(st, weights.shape, built)
+        for other in (swapped, stack_layouts(pair)):
+            with pytest.raises(ValueError, match="workspace"):
+                loss_and_gradients(st, weights, None, other, work)
+        # with the workspace, layout=None is the layout it was built with
+        want = loss_and_gradients(st, weights, None, built)
+        for layout in (built, None):
+            got = loss_and_gradients(st, weights, None, layout, work)
+            np.testing.assert_array_equal(got[0], want[0])
+            np.testing.assert_array_equal(got[1], want[1])
+
+    @pytest.mark.parametrize("trunk", [True, False])
+    def test_layout_none_evaluates_the_workspaces_own_learned_layout(self, trunk):
+        # each call refreshes the learned matrix the workspace bound from
+        # that call's coefficients
+        st = make_state(K=3, ancre=_mixing(3, "ingoing", 4), trunk=trunk, seed=5)
+        layout = state_layout(st)
+        work = Workspace(st, st.weights.shape, layout)
+        for shift in (0.0, 0.7):
+            coeffs = st.ancre.c + np.triu(np.full(st.ancre.c.shape, shift), 1)
+            got = loss_and_gradients(st, None, coeffs, None, work)
+            np.testing.assert_array_equal(layout.matrix, normalize(st.ancre, coeffs))
+            want = loss_and_gradients(st, None, coeffs, state_layout(st))
+            assert got[0] == want[0]
+            np.testing.assert_array_equal(got[1], want[1])
+            np.testing.assert_array_equal(got[2], want[2])
 
     def test_rejects_a_learned_layout_with_the_same_sources(self):
         # the fixed layout with every pair i < j has a learned layout's
