@@ -17,18 +17,21 @@ stops on its own (loss blow-up, loss floor, non-finite gradient or step
 budget) and is then frozen, so its trajectory and final state are those
 of a solo run, bit for bit.  run_gd and integrate_gf train one state.
 
-The driver keeps one network Workspace and its update buffers per active
-set, so a step allocates little: parameters are updated in place, the
-RK4 stage parameters and the weighted sum of k1..k4 are built in
-preallocated buffers (each stage's gradients are folded into the sum
-before the next evaluation overwrites them), and a lone member is
-evaluated without the member axis, as a solo run.  A record step writes
-one row for the whole batch, each member in its own column.  The driver
-counts each member's evaluations, one per stacked pass it takes part in,
-into its trajectory.  Evaluations go through this module's
-loss_and_gradients name, which the benchmark's tracer wraps.  A step
-calls array methods and ufuncs, none of the functions that pass through
-numpy's __array_function__ dispatch (np.dot, np.vdot, np.copyto).
+Every active set, a lone member included, holds its parameters in one
+form: weights (B, K, d, d) and the learned members' raw coefficients
+(L, K+1, K+1).  The driver keeps one network Workspace of the set's
+states and its update buffers per active set, so a step allocates little:
+parameters are updated in place, and the RK4 stage parameters and the
+weighted sum of k1..k4 are built in preallocated buffers (each stage's
+gradients are folded into the sum before the next evaluation overwrites
+them).  Which kernels a set's pass runs is the Workspace's choice alone.
+A record step writes one row for the whole batch, each member in its own
+column.  The driver counts each member's evaluations, one per stacked
+pass it takes part in, into its trajectory.  Evaluations go through this
+module's loss_and_gradients name, which the benchmark's tracer wraps.  A
+step calls array methods and ufuncs, none of the functions that pass
+through numpy's __array_function__ dispatch (np.dot, np.vdot, np.copyto),
+and builds no array with np.array.
 """
 
 from __future__ import annotations
@@ -43,8 +46,7 @@ from . import tensor
 # tracer (perfbench/spans.py) wraps `dynamics.normalize` by name, and
 # `--trace 1` fails with a KeyError where the name is missing.
 from .ancre import normalize  # noqa: F401
-from .network import (TrainState, Workspace, loss_and_gradients, stack_layouts,
-                      state_layout)
+from .network import TrainState, Workspace, loss_and_gradients
 
 __all__ = [
     "RecordOptions",
@@ -250,16 +252,12 @@ def _rk4(active: _Active, k1w: np.ndarray, k1c: np.ndarray | None, dt: float, _)
 
 
 def _parameters(states) -> tuple[np.ndarray, np.ndarray | None]:
-    """Fresh buffers of the weights and of the learned members' raw
-    coefficient matrices (None when there are none) in the form _Active
-    takes: a lone state's own shapes or, for more states, (B, K, d, d) and
-    (L, K+1, K+1)."""
+    """Fresh buffers of the weights, (B, K, d, d), and of the learned
+    members' raw coefficient matrices, (L, K+1, K+1) (None when there are
+    none)."""
     weights = np.array([s.weights for s in states], dtype=np.float64)
     learned = [s.ancre.c for s in states if s.ancre is not None]
-    coeffs = np.array(learned) if learned else None
-    if len(states) > 1:
-        return weights, coeffs
-    return weights[0], None if coeffs is None else coeffs[0]
+    return weights, np.array(learned) if learned else None
 
 
 def _with_parameters(state: TrainState, weights: np.ndarray,
@@ -268,37 +266,25 @@ def _with_parameters(state: TrainState, weights: np.ndarray,
                    ancre=None if coeffs is None else state.ancre.with_coeffs(coeffs))
 
 
-def _take(a: np.ndarray | None, rows: list, lone: bool) -> np.ndarray | None:
-    """The rows `rows` of a, which has a leading member axis, in a fresh
-    array of the form the next active set takes (without that axis when it
-    is lone); None when there are none."""
-    if a is None or not rows:
-        return None
-    return a[rows[0]].copy() if lone else a[rows]
-
-
 class _Active:
-    """The members still training, evaluated as one: a lone member without
-    the member axis (so as a solo run), more through the stack of their
-    layouts, in which the learned members come last, from row `first` on.
-    Holds their weights and the learned members' raw coefficients in that
-    form, updated in place, one network Workspace and the update's buffers;
-    a run builds a new one whenever the active set shrinks.  members[row]
-    is the recorder column of the member in that row.  Every member of the
-    set has taken part in each of the run's `evals` passes so far."""
+    """The members still training, evaluated as one in a network Workspace
+    of their states, in which the learned members come last, from row
+    `first` on.  Holds their weights, (B, K, d, d), and the learned
+    members' raw coefficients, (L, K+1, K+1), updated in place, the
+    workspace and the update's buffers; a run builds a new one whenever
+    the active set shrinks.  members[row] is the recorder column of the
+    member in that row.  Every member of the set has taken part in each of
+    the run's `evals` passes so far."""
 
     def __init__(self, states, members: list, weights: np.ndarray,
                  coeffs: np.ndarray | None, evals: int = 0):
-        self.members, self.lone = members, len(members) == 1
+        self.members = members
         contiguous = members == list(range(members[0], members[0] + len(members)))
         self.cols = slice(members[0], members[-1] + 1) if contiguous else np.array(members)
         self.state = states[members[0]]
         self.weights, self.coeffs, self.evals = weights, coeffs, evals
-        learned = 0 if coeffs is None else 1 if self.lone else len(coeffs)
-        self.first = len(members) - learned
-        layouts = [state_layout(states[m]) for m in members]
-        self.work = Workspace(self.state, weights.shape,
-                              layouts[0] if self.lone else stack_layouts(layouts))
+        self.first = len(members) - (0 if coeffs is None else len(coeffs))
+        self.work = Workspace([states[m] for m in members], weights.shape)
         self.stage, self.acc = np.empty_like(weights), np.empty_like(weights)
         self.stage_c = self.acc_c = None
         if coeffs is not None:
@@ -306,33 +292,23 @@ class _Active:
 
     def grad(self, weights: np.ndarray, coeffs: np.ndarray | None):
         """(losses as a list, weight gradients, coefficient gradients)."""
-        value, wgrads, cgrads = loss_and_gradients(self.state, weights, coeffs, None,
-                                                   self.work)
+        value, wgrads, cgrads = loss_and_gradients(self.state, weights, coeffs, self.work)
         self.evals += 1
-        return [value] if self.lone else value.tolist(), wgrads, cgrads
-
-    def rows(self, a: np.ndarray | None) -> np.ndarray | None:
-        """a with a leading member axis (of the learned members only, for
-        coefficient arrays)."""
-        return a[None] if self.lone and a is not None else a
+        return value.tolist(), wgrads, cgrads
 
     def nonfinite(self, wgrads: np.ndarray, cgrads: np.ndarray | None) -> set:
         """The rows whose weight or coefficient gradients hold a non-finite
         entry."""
-        return _nonfinite_rows(self.rows(wgrads)) | {
-            self.first + row for row in _nonfinite_rows(self.rows(cgrads))}
+        return _nonfinite_rows(wgrads) | {self.first + row
+                                          for row in _nonfinite_rows(cgrads)}
 
     def shrink(self, states, keep: list, wgrads: np.ndarray,
                cgrads: np.ndarray | None) -> tuple:
-        """The active set of the rows `keep`, and their gradients in its
-        form."""
-        lone = len(keep) == 1
+        """The active set of the rows `keep`, and their gradients."""
         keep_c = [row - self.first for row in keep if row >= self.first]
-        active = _Active(states, [self.members[row] for row in keep],
-                         _take(self.rows(self.weights), keep, lone),
-                         _take(self.rows(self.coeffs), keep_c, lone), self.evals)
-        return (active, _take(self.rows(wgrads), keep, lone),
-                _take(self.rows(cgrads), keep_c, lone))
+        active = _Active(states, [self.members[row] for row in keep], self.weights[keep],
+                         self.coeffs[keep_c] if keep_c else None, self.evals)
+        return active, wgrads[keep], cgrads[keep_c] if keep_c else None
 
 
 def _drive(states, method: str, step: float, n_steps: int, lr_c: float | None,
@@ -353,7 +329,7 @@ def _drive(states, method: str, step: float, n_steps: int, lr_c: float | None,
     step_c = step if lr_c is None else lr_c
     update = _rk4 if method == "rk4" else _descend
     # the fixed members first, so that the learned ones are the stack's last
-    # rows (stack_layouts rejects members of another trunk or softmax recipe
+    # rows (the Workspace rejects members of another trunk or softmax recipe
     # here, before the first step); the results are put back in the callers'
     # order at the end
     order = sorted(range(len(states)), key=lambda m: states[m].ancre is not None)
@@ -380,15 +356,14 @@ def _drive(states, method: str, step: float, n_steps: int, lr_c: float | None,
                 stops.setdefault(row, "nonfinite_grad")
         due = budget or it % every == 0
         if due or stops:
-            rec.write(it, active.cols, values, active.rows(active.weights),
-                      active.rows(tensor.frobenius_norm(active.weights)), due)
+            rec.write(it, active.cols, values, active.weights,
+                      tensor.frobenius_norm(active.weights), due)
         if stops:
-            weights, coeffs = active.rows(active.weights), active.rows(active.coeffs)
             for row, reason in stops.items():
                 member = active.members[row]
                 results[member] = (rec.build(member, reason, active.evals), _with_parameters(
-                    states[member], weights[row],
-                    None if row < active.first else coeffs[row - active.first]))
+                    states[member], active.weights[row],
+                    None if row < active.first else active.coeffs[row - active.first]))
             keep = [row for row in range(len(values)) if row not in stops]
             if not keep:
                 break

@@ -442,6 +442,41 @@ def _w3_growth_check(traj: Trajectory, L0: float) -> dict:
                   note="max over t > 0 of (||W3(t)||_F - ||W3(0)||_F - 1e-3) / sqrt(t L0)")
 
 
+def _w1w2_growth_cap_check(fro: np.ndarray, init_norms: list, L0: float,
+                           lam: float) -> dict:
+    """The upper-bound witness's growth cap: ||W1||_F^2 + ||W2||_F^2, from
+    the (records, K) Frobenius norms `fro`, stays within 1.05 times its
+    initial value times e^M, where M = 2 sqrt(2 L0) ||W3(0)||_F / (1 - lam)^2
+    + sqrt(2 pi) L0 / (1 - lam)^3 bounds its log-growth along the flow from
+    an initial loss L0 and weights of Frobenius norms `init_norms`."""
+    M = (2.0 * np.sqrt(2.0 * L0) * init_norms[2] / (1.0 - lam) ** 2
+         + np.sqrt(2.0 * np.pi) * L0 / (1.0 - lam) ** 3)
+    w12_0 = init_norms[0] ** 2 + init_norms[1] ** 2
+    w12 = fro[:, 0] ** 2 + fro[:, 1] ** 2
+    return _check("w1w2_growth_cap", float(np.max(w12 / (w12_0 * np.exp(M)))), 1.05, "<=",
+                  note="(||W1||^2+||W2||^2) vs e^M cap, 5% slack")
+
+
+def _suppression_check(hm: np.ndarray) -> dict:
+    """The learned layout's suppression of the shortcuts 0:K and K-1:K: in
+    the heatmap `hm` of log10 weight ratios (ancre.heatmap), both sit at
+    least 0.3 below the most used source of layer K."""
+    K = hm.shape[0] - 1
+    return _check("suppression_0K_and_Kminus1K", float(max(hm[K, 0], hm[K, K - 1])), -0.3,
+                  "<=", note=f"log10 weight ratios into layer {K}: "
+                             f"{[round(float(x), 3) for x in hm[K, :K]]}")
+
+
+def _depth_slowdown_check(iterations: dict) -> dict:
+    """Deeper plain stacks train slower: the iterations to 1e-4 in
+    `iterations`, {depth K: count}, rise strictly with K (value 1 when
+    they do, else 0)."""
+    counts = [iterations[K] for K in sorted(iterations)]
+    ordered = all(a < b for a, b in zip(counts, counts[1:]))
+    return _check("depth_slowdown_monotone", 1.0 if ordered else 0.0, 1.0, ">=",
+                  note=f"iterations to 1e-4 by depth: {', '.join(map(str, counts))}")
+
+
 def _witness_diagonals(weights: np.ndarray) -> tuple:
     """The lower-bound witness's coordinates (w, u, v), each (records, d),
     from its (records, 3, d, d) recorded weights: the diagonals of W1 plus
@@ -529,12 +564,7 @@ def _run_figure(cfg: ExperimentConfig, record: dict, files: dict,
 def _run_ancre_lnn(cfg: ExperimentConfig, record: dict, files: dict):
     hm = _run_figure(cfg, record, files, layouts=[])
     if hm is not None:
-        K = hm.shape[0] - 1
-        worst = float(max(hm[K, 0], hm[K, K - 1]))
-        record["invariant_checks"].append(
-            _check("suppression_0K_and_Kminus1K", worst, -0.3, "<=",
-                   note=f"log10 weight ratios into layer {K}: "
-                        f"{[round(float(x), 3) for x in hm[K, :K]]}"))
+        record["invariant_checks"].append(_suppression_check(hm))
 
 
 def _run_depth_sweep(cfg: ExperimentConfig, record: dict, files: dict):
@@ -545,10 +575,7 @@ def _run_depth_sweep(cfg: ExperimentConfig, record: dict, files: dict):
         [(traj, _)] = _curve(cfg, record, files,
                              [(f"K{K}", _fixed_state(cfg, inst, Topology.none(K)))])
         i4[K] = iterations_to(traj, 1e-4)
-    ordered = i4[2] < i4[3] < i4[4]
-    record["invariant_checks"].append(
-        _check("depth_slowdown_monotone", 1.0 if ordered else 0.0, 1.0, ">=",
-               note=f"iterations to 1e-4 by depth: {i4[2]}, {i4[3]}, {i4[4]}"))
+    record["invariant_checks"].append(_depth_slowdown_check(i4))
 
 
 def _run_kdeep(cfg: ExperimentConfig, record: dict, files: dict):
@@ -603,7 +630,6 @@ def _run_ub_witness(cfg: ExperimentConfig, record: dict, files: dict):
                          "delta_proof": thr.proof, "delta_used": thr.used,
                          "halvings": halvings}
     init_norms = [float(np.linalg.norm(w)) for w in state.weights]
-    w12_0 = init_norms[0] ** 2 + init_norms[1] ** 2
 
     columns = {}  # the CSV's extra columns, kept for the checks below
 
@@ -621,12 +647,7 @@ def _run_ub_witness(cfg: ExperimentConfig, record: dict, files: dict):
     checks.append(_delta_compliant_init_check(init_norms, thr.used, halvings))
     checks.append(_upper_bound_envelope_check(traj.losses, env))
     checks.append(_spectral_norm_containment_check(columns["spec_w1w2"], cfg.lam))
-    M = (2.0 * np.sqrt(2.0 * L0) * init_norms[2] / (1.0 - cfg.lam) ** 2
-         + np.sqrt(2.0 * np.pi) * L0 / (1.0 - cfg.lam) ** 3)
-    w12 = traj.weight_fro_norms[:, 0] ** 2 + traj.weight_fro_norms[:, 1] ** 2
-    checks.append(_check("w1w2_growth_cap",
-                         float(np.max(w12 / (w12_0 * np.exp(M)))), 1.05, "<=",
-                         note="(||W1||^2+||W2||^2) vs e^M cap, 5% slack"))
+    checks.append(_w1w2_growth_cap_check(traj.weight_fro_norms, init_norms, L0, cfg.lam))
     checks.append(_w3_growth_check(traj, L0))
     checks.append(_monotone_loss_check(traj, "euler_loss_monotone"))
 
@@ -649,7 +670,9 @@ class Preset:
     checks.  custom reads the ANCRe fields only with an ancre_mode, and
     every preset only its optimizer's step fields.  The witnesses' checks
     (the diagonal oracle, the drift halving) assume their own integrator,
-    so they fix the optimizer; a figure preset fixes K, its layouts' depth."""
+    so they fix the optimizer; a figure preset fixes K, its layouts' depth;
+    ancre-lnn fixes ancre_mode, since its one check reads the ingoing
+    heatmap, which outgoing mixing has not."""
 
     run: Callable[[ExperimentConfig, dict, dict], None]
     defaults: dict
@@ -670,7 +693,8 @@ PRESETS = {
                               for combo in itertools.combinations(candidate_pairs(4), 2)]
                               + [Topology.single(0, 3, 4)]),
                           dict(K=4, iters=20000), ("K", "topology", "lam")),
-    "ancre-lnn": Preset(_run_ancre_lnn, dict(K=3, iters=30000), ("K", "topology", "lam")),
+    "ancre-lnn": Preset(_run_ancre_lnn, dict(K=3, iters=30000),
+                        ("K", "topology", "lam", "ancre_mode")),
     "kdeep-extension": Preset(_run_kdeep, dict(K=5, iters=60000),
                               ("K", "topology", "lam") + _ANCRE_ONLY),
     "lb-witness": Preset(_run_lb_witness,

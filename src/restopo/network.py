@@ -30,31 +30,33 @@ layers that read it, as one product of that span of row i of P with their
 source adjoints.  The K weight gradients are then one stacked product of
 the layers' deltas with their transposed inputs.
 
-Both passes run in a Workspace, which resolves the recurrence once: for
-each layer, the arrays its products read and write (the trunk's source
-and output, the views of P and of the stacked states over its shortcut
-span, or the one source a lone fixed layout adds as it is, and the tanh
-and trunk-off buffers).  The passes then make only their numpy calls, and
-a lone pass multiplies with np.ndarray.dot, np.dot's C routine without its
-__array_function__ dispatch.  Since the plan binds views of the layout's
-matrix, a workspace serves the one state and Layout it was built with.  A
+Both passes run in a Workspace, built from the member states it
+evaluates, which resolves their layouts and the recurrence once: for each
+layer, the arrays its products read and write (the trunk's source and
+output, the views of P and of the stacked states over its shortcut span,
+or the one source a lone fixed layout adds as it is, and the tanh and
+trunk-off buffers).  The passes then make only their numpy calls.  A
 training run builds one and passes it to every evaluation, so a small-d
 step pays for its numpy kernels and little else; a call without one builds
 its own and so returns fresh arrays.  It is the same pass either way, bit
 for bit.
 
-The recurrence also takes a leading curve axis: weights stacked as
-(B, K, d, d) under a stacked layout of B layouts (stack_layouts) train B
-curves on one X and Y in one pass.  The fixed layouts come first and the
-learned ones last: each evaluation refreshes the stack's learned rows from
-one softmax of their raw coefficients, (L, K+1, K+1), and dL/dP of those
-rows is one product of their hidden states with their source adjoints.
-The loss of every member is one product too.  Each member's arithmetic is
-that of its own solo pass, bit for bit; a lone curve carries no extra axis.
+The recurrence also takes a leading member axis: B member states on one X
+and Y, their weights stacked as (B, K, d, d), train as B curves in one
+pass.  The fixed layouts come first and the learned ones last: each
+evaluation refreshes the learned rows from one softmax of their raw
+coefficients, (L, K+1, K+1), and dL/dP of those rows is one product of
+their hidden states with their source adjoints.  The loss of every member
+is one product too.  The workspace alone picks the kernels, from the
+member count: one member runs the lone plan, whose products are
+np.ndarray.dot, np.dot's C routine without its __array_function__
+dispatch, with or without the member axis; more run np.matmul's stacked
+plan.  Each member's arithmetic is that of its own solo pass, bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from typing import NamedTuple
@@ -71,8 +73,6 @@ __all__ = [
     "Workspace",
     "forward",
     "loss_and_gradients",
-    "stack_layouts",
-    "state_layout",
 ]
 
 
@@ -80,11 +80,12 @@ class Layout(NamedTuple):
     """A coefficient matrix as the recurrence consumes it.
 
     sources[j] lists, ascending, the i whose entry matrix[i, j] layer j
-    reads.  A stacked layout (stack_layouts) has a (B, K+1, K+1) matrix and
-    sources[j] the union of its members' sources.  matrix[rows] are the
-    learned matrices, which every evaluation refreshes from the softmax
-    recipe params: the whole matrix of a lone learned layout, a stack's
-    last rows; both are None when every coefficient is fixed.
+    reads.  A stacked layout (of more members than one) has a
+    (B, K+1, K+1) matrix and sources[j] the union of its members' sources.
+    matrix[rows] are the learned matrices, which every evaluation refreshes
+    from the softmax recipe params: the whole matrix of a lone learned
+    layout, a stack's last rows; both are None when every coefficient is
+    fixed.
     """
 
     matrix: np.ndarray
@@ -143,28 +144,6 @@ class Topology:
         if self.shortcuts == frozenset((k - 1, k) for k in range(1, self.K + 1)):
             return "cascaded"
         return "+".join(f"{i}:{j}" for (i, j) in sorted(self.shortcuts))
-
-
-def stack_layouts(layouts) -> Layout:
-    """One layout for a batch of layouts of one depth and trunk, in order:
-    the fixed ones first, then any learned ones (state_layout), which share
-    one softmax recipe.  The stack's matrix is its own."""
-    learned = [layout.params for layout in layouts if layout.params is not None]
-    first = len(layouts) - len(learned)
-    if (any(layout.params is None for layout in layouts[first:])
-            or len({(p.mode, p.temperature) for p in learned}) > 1
-            or len({layout.trunk for layout in layouts}) > 1):
-        raise ValueError("a stack takes layouts of one trunk (a fixed layout keeps "
-                         "its trunk), the learned ones last and of one softmax mode "
-                         "and temperature")
-    matrix = np.stack([layout.matrix for layout in layouts])
-    if learned:
-        return Layout(matrix, _all_sources(learned[0].K), layouts[0].trunk, learned[0],
-                      slice(first, None))
-    K = matrix.shape[-1] - 1
-    sources = tuple(tuple(np.flatnonzero(matrix[:, :, j].any(axis=0)).tolist())
-                    for j in range(K + 1))
-    return Layout(matrix, sources)
 
 
 @dataclass(frozen=True)
@@ -229,24 +208,46 @@ class TrainState:
         return replace(self)
 
 
-def state_layout(state: TrainState) -> Layout:
-    """The state's layout: its topology's constant matrix or, for learned
-    coefficients, a matrix of its own that each evaluation refreshes from
-    their softmax.  The only place that tells a fixed topology from learned
-    coefficients: downstream code reads the Layout."""
-    if state.topology is not None:
-        return state.topology.layout
-    params = state.ancre
-    return Layout(np.zeros((params.K + 1, params.K + 1)), _all_sources(params.K),
-                  state.trunk, params, slice(None))
+def _layout(states) -> Layout:
+    """The members' layouts as one, in order: a lone member's own (its
+    topology's constant matrix or, for learned coefficients, a matrix of
+    its own), more members' stacked into a (B, K+1, K+1) matrix of its own.
+    The fixed layouts come first and the learned ones last; those share one
+    softmax recipe, and each evaluation refreshes their matrices from it.
+    The only place that tells a fixed topology from learned coefficients:
+    downstream code reads the Layout."""
+    learned = [s.ancre for s in states if s.ancre is not None]
+    first = len(states) - len(learned)
+    if (any(s.ancre is None for s in states[first:])
+            or len({(p.mode, p.temperature) for p in learned}) > 1
+            or len({s.trunk for s in states}) > 1):
+        raise ValueError("a stack takes layouts of one trunk (a fixed layout keeps "
+                         "its trunk), the learned ones last and of one softmax mode "
+                         "and temperature")
+    if not learned and len(states) == 1:
+        return states[0].topology.layout
+    K = states[0].K
+    matrix = np.zeros((K + 1, K + 1) if len(states) == 1 else (len(states), K + 1, K + 1))
+    for m, s in enumerate(states[:first]):
+        matrix[m] = s.topology.layout.matrix
+    if learned:
+        # the rows first.. of a stack; of a lone matrix, the whole of it
+        return Layout(matrix, _all_sources(K), states[0].trunk, learned[0],
+                      slice(first, None))
+    sources = tuple(tuple(np.flatnonzero(matrix[:, :, j].any(axis=0)).tolist())
+                    for j in range(K + 1))
+    return Layout(matrix, sources)
 
 
-def _refresh(work: Workspace, coeffs: np.ndarray | None) -> None:
-    """Write the softmax of coeffs (default: the recipe's own) into the
-    learned matrices of the workspace's layout, if it has any."""
-    params = work.layout.params
-    if params is not None:
-        normalize(params, coeffs, work.p)
+def _empty(shape: tuple) -> np.ndarray:
+    """An uninitialized float64 array of `shape` starting on a 64-byte
+    boundary.  np.empty aligns to 16 bytes only, so a large buffer's offset
+    mod 64, and with it the speed of d=128 products over it (offset 0 was
+    5% faster than 16, 32 or 48), would hang on allocation history."""
+    size = math.prod(shape)
+    raw = np.empty(size + 7)
+    start = -raw.ctypes.data % 64 // 8
+    return raw[start:start + size].reshape(shape)
 
 
 def _by_layer(a: np.ndarray) -> np.ndarray:
@@ -267,45 +268,55 @@ def _span(rows: list) -> tuple:
 
 
 class Workspace:
-    """The buffers and the per-layer plan of repeated evaluations of one
-    state at one parameter shape under one layout.
+    """The buffers and the per-layer plan of repeated evaluations of the
+    member states `states` at one parameter shape.
 
-    Built from a state (its X, Y and nonlinearity), the shape of the
-    weights it will be given ((K, d, d), or (B, K, d, d) for a stacked
-    batch) and a layout (default: the state's own), it serves every
-    loss_and_gradients call on that state at that shape under that Layout
-    object, whose matrix it binds views of: with a workspace, layout=None
-    means its layout.  Another state or shape raises ValueError, and so
-    does any other Layout, even one with the same sources, trunk and rows
-    and other coefficients.  A learned layout's coefficient values may
-    change from call to call: each evaluation refreshes the bound matrix in
-    place.
+    Built from the members (the first one's X, Y and nonlinearity, and
+    their layouts: fixed ones first, learned ones last, of one trunk and
+    softmax recipe) and the weights' shape, (B, K, d, d) or, for one
+    member, (K, d, d) too, it serves every loss_and_gradients call on the
+    first member at that shape; another state or shape raises ValueError.
+    Each evaluation refreshes the learned matrices from its coefficients.
 
     It holds the hidden states H with h_0 = X written once, the adjoint
     stack, the source adjoints G with g_0 = 0 written once, the trunk-off
     mixtures, the deltas (each layer's adjoint through its nonlinearity),
-    the weight-gradient buffer, dL/dP of the learned rows, the per-layer
-    views of these and of the last two weight arrays it was given, and
-    member-major views Hm and Gm of H and G, (K+1, dn) or (B, K+1, dn), in
-    which a span of sources is one matrix per member.  The recurrence is
-    resolved once, into a plan of the arrays each layer's products read
-    and write (`forward`, layers 1..K, and `backward`, layers K..1), so a
-    pass makes only its numpy calls.  The next evaluation overwrites all of
-    these, the returned weight gradients included; the loss and the
-    coefficient gradients are fresh objects.
+    the weight-gradient buffer, the losses, dL/dP of the learned rows, the
+    per-layer views of these and of the last two parameter arrays it was
+    given, and member-major views Hm and Gm of H and G, (K+1, dn) or
+    (B, K+1, dn), in which a span of sources is one matrix per member.  The
+    recurrence is resolved once, into a plan of the arrays each layer's
+    products read and write (`forward`, layers 1..K, and `backward`, layers
+    K..1), so a pass makes only its numpy calls.  The next evaluation
+    overwrites all of these, the returned weight gradients and losses
+    included; a loss without a member axis and the coefficient gradients
+    are fresh objects.
 
-    A lone pass multiplies with np.ndarray.dot: the C routine of np.dot,
-    without np.dot's __array_function__ dispatch, which costs about 0.12 us
-    of the 0.45 us of a 4 x 4 product (2-vCPU x86-64 VM).  A stacked batch
-    needs np.matmul's broadcasting, and that ufunc is not dispatched.  A
-    member's bits are its solo pass's either way.
+    The workspace alone picks the plan, from the member count.  One member
+    runs the lone plan whether or not its parameters carry the member axis
+    (only the shapes returned keep it), and multiplies with
+    np.ndarray.dot: the C routine of np.dot, without np.dot's
+    __array_function__ dispatch, which costs about 0.12 us of the 0.45 us
+    of a 4 x 4 product (2-vCPU x86-64 VM).  More members need np.matmul's
+    broadcasting, and that ufunc is not dispatched.  A member's bits are
+    its solo pass's either way.
     """
 
-    def __init__(self, state: TrainState, shape: tuple, layout: Layout | None = None):
-        K, batch = shape[-3], tuple(shape[:-3])
+    def __init__(self, states, shape: tuple):
+        state, shape = states[0], tuple(shape)
+        allowed = [(len(states),) + state.weights.shape]
+        if len(states) == 1:
+            allowed.append(state.weights.shape)
+        if shape not in allowed:
+            raise ValueError(f"{len(states)} member state(s) take weights of shape "
+                             f"{' or '.join(map(str, allowed))}, got {shape}")
+        K, batch = shape[-3], (len(states),) if len(states) > 1 else ()
         hidden = (K + 1,) + batch + state.X.shape
-        self.layout = layout = state_layout(state) if layout is None else layout
-        self.state, self.shape, self.tanh = state, tuple(shape), state.nonlinearity == "tanh"
+        self.layout = layout = _layout(states)
+        self.state, self.shape, self.tanh = state, shape, state.nonlinearity == "tanh"
+        # one member's parameters may carry the member axis, which the lone
+        # plan drops on the way in and puts back on the way out
+        self.squeeze = len(shape) == 4 and not batch
         trunk, tanh, P, sources = layout.trunk, self.tanh, layout.matrix, layout.sources
         self.mm = np.matmul if batch else np.ndarray.dot
         # A lone fixed layout's coefficients are exactly 1, so a span of one
@@ -313,14 +324,14 @@ class Workspace:
         # the one-row product and its add take 32 us, the add alone 8 us
         # (2-vCPU x86-64 VM).
         unit = not batch and layout.rows is None
-        H = np.empty(hidden)
+        H = _empty(hidden)
         H[0] = state.X
-        adj = np.empty(hidden)
-        self.tmp = tmp = np.empty(hidden[1:])
+        adj = _empty(hidden)
+        self.tmp = tmp = _empty(hidden[1:])
         # g_k, the adjoint of layer k's source sum, is its delta with the
         # trunk on and without tanh; else it needs a stack of its own.
         # h_0 = X has no adjoint: g_0 = 0 keeps dL/dP's column 0 exactly 0.
-        G = adj if trunk and not tanh else np.empty(hidden)
+        G = adj if trunk and not tanh else _empty(hidden)
         G[0] = 0.0
         Hm, Gm = (np.moveaxis(a.reshape((K + 1,) + batch + (-1,)), 0, -2) for a in (H, G))
         # Layer k's weight gradient is delta_k times the transposed input of
@@ -328,12 +339,12 @@ class Workspace:
         # product of the stacks gives all K after the reverse pass.  Without
         # tanh delta_k is adj[k]; with it, G[k] with the trunk on, else a
         # stack of its own.
-        deltas = adj if not tanh else G if trunk else np.empty(hidden)
-        mix = None if trunk else np.empty(hidden)
+        deltas = adj if not tanh else G if trunk else _empty(hidden)
+        mix = None if trunk else _empty(hidden)
         inputs = H[:-1] if trunk else mix[1:]
         self.delta_stack, self.inputs_t = deltas[1:], inputs.swapaxes(-1, -2)
-        self.grads = np.empty(shape)
-        self.grad_stack = _by_layer(self.grads)
+        self.grads = _empty(shape)
+        self.grad_stack = _by_layer(self.grads[0] if self.squeeze else self.grads)
         self.h_K, self.residual = H[-1], adj[-1]
 
         # Layer k's shortcut term: the product of the span (lo, hi) of
@@ -369,12 +380,15 @@ class Workspace:
             self.backward.append((adj[k], H[k], deltas[k], g, p, gs, term, a, add))
 
         # The loss: with a batch, the product of each member's residual row
-        # (..., 1, dn) with its column (..., dn, 1); alone, the dot of the
-        # residual's flat view with itself, np.vdot's C routine.
+        # (..., 1, dn) with its column (..., dn, 1), into the squares whose
+        # flat view is the losses; alone, the dot of the residual's flat
+        # view with itself, np.vdot's C routine, which the losses hold only
+        # for parameters with a member axis.
         self.flat = None if batch else adj[-1].reshape(-1)
         self.res = _row(adj[-1])
         self.res_t, self.squares = self.res.swapaxes(-1, -2), np.empty(batch + (1, 1))
-        self._layers = {}
+        self.losses = self.squares.reshape(-1) if len(shape) == 4 else None
+        self._views = {}
         if layout.rows is not None:
             # dL/dP of the learned rows, <h_i, g_j> for every i and j, is one
             # product of their Hm and Gm.  Only the candidates i < j count:
@@ -383,23 +397,26 @@ class Workspace:
             self.Hq, self.Gq_t = Hm[layout.rows], Gm[layout.rows].swapaxes(-1, -2)
             self.q = np.empty(self.Hq.shape[:-1] + (K + 1,))
 
-    def fits(self, state: TrainState, weights: np.ndarray, layout: Layout | None) -> bool:
-        """Whether this workspace serves an evaluation of these arguments."""
-        return (state is self.state and weights.shape == self.shape
-                and (layout is None or layout is self.layout))
-
-    def layers(self, weights: np.ndarray) -> tuple[list, list]:
-        """weights' per-layer views W_k, and the W_k^T last layer first, as
-        the reverse pass visits them; kept for the last two arrays given (a
-        driver's parameters and its RK4 stage)."""
-        views = self._layers.get(id(weights))
-        if views is None:
-            if len(self._layers) == 2:
-                self._layers.clear()
-            W = list(_by_layer(weights))
-            views = self._layers[id(weights)] = (weights, W,
-                                                 [w.swapaxes(-1, -2) for w in W[::-1]])
-        return views[1], views[2]
+    def parameters(self, weights: np.ndarray, coeffs: np.ndarray | None) -> tuple:
+        """Put the parameters where the plan reads them: refresh the learned
+        matrices, if any, from the softmax of coeffs (default: the recipe's
+        own), and return weights' per-layer views W_k and the W_k^T last
+        layer first, as the reverse pass visits them, both without a lone
+        member's axis.  The views, and coeffs without that axis, are kept
+        for the last two weight arrays given (a driver's parameters and its
+        RK4 stage), each with the coeffs given along."""
+        views = self._views.get(id(weights))
+        if views is None or views[1] is not coeffs:
+            if len(self._views) == 2:
+                self._views.clear()
+            W = list(_by_layer(weights[0] if self.squeeze else weights))
+            views = self._views[id(weights)] = (
+                weights, coeffs, W, [w.swapaxes(-1, -2) for w in W[::-1]],
+                coeffs[0] if self.squeeze and coeffs is not None else coeffs)
+        params = self.layout.params
+        if params is not None:
+            normalize(params, views[4], self.p)
+        return views[2], views[3]
 
 
 def _forward_arrays(work: Workspace, W: list) -> None:
@@ -457,24 +474,29 @@ def forward(state: TrainState) -> np.ndarray:
     for k, w in enumerate(state.weights, start=1):
         if not np.all(np.isfinite(w)):
             raise ValueError(f"layer {k}: weight entries must be finite")
-    work = Workspace(state, state.weights.shape)
-    _refresh(work, None)
-    _forward_arrays(work, work.layers(state.weights)[0])
+    work = Workspace([state], state.weights.shape)
+    _forward_arrays(work, work.parameters(state.weights, None)[0])
     return work.h_K
 
 
 def _half_squared(work: Workspace):
-    """0.5 * ||r||_F^2 of the residual r in adj[K]; for a stacked batch, an
-    array of one value per member, each from one product of the member's
-    residual row with its column, with the bits of its solo pass's dot."""
-    flat = work.flat
-    if flat is not None:
-        return 0.5 * float(flat.dot(flat))
-    return 0.5 * np.matmul(work.res, work.res_t, out=work.squares).reshape(-1)
+    """0.5 * ||r||_F^2 of the residual r in adj[K]: a float, or with a
+    member axis the workspace's losses, one value per member, each (in a
+    stacked batch) from one product of the member's residual row with its
+    column, with the bits of its solo pass's dot."""
+    flat, losses = work.flat, work.losses
+    if flat is None:
+        np.matmul(work.res, work.res_t, out=work.squares)
+        return np.multiply(losses, 0.5, out=losses)
+    value = 0.5 * float(flat.dot(flat))
+    if losses is None:
+        return value
+    losses[0] = value
+    return losses
 
 
 def loss_and_gradients(state: TrainState, weights=None, coeffs=None,
-                       layout: Layout | None = None, work: Workspace | None = None):
+                       work: Workspace | None = None):
     """The loss 0.5 * ||h_K - Y||_F^2 and its exact gradients, from one
     forward and one reverse pass.
 
@@ -483,28 +505,25 @@ def loss_and_gradients(state: TrainState, weights=None, coeffs=None,
     (loss, weight gradients as (K, d, d), raw-coefficient gradients through
     the softmax Jacobian, or None for a fixed layout).
 
-    For a batch on the state's X and Y, pass the stack_layouts of its
-    members' layouts as `layout`, their weights as (B, K, d, d) and, when
-    the stack has L learned rows, their raw coefficients as
-    (L, K+1, K+1): the loss is then an array of B values, the weight
-    gradients are (B, K, d, d) and the coefficient gradients
-    (L, K+1, K+1).  A layout's learned matrices are refreshed from coeffs'
-    softmax first, once per call.
+    A batch of member states that share X and Y evaluates through a
+    Workspace of those states (see there) and its first member as `state`:
+    the weights are then (B, K, d, d) and, when L members are learned (the
+    last L), their raw coefficients (L, K+1, K+1); the loss is an array of
+    B values, the weight gradients are (B, K, d, d) and the coefficient
+    gradients (L, K+1, K+1).  B = 1 is a batch too.  The learned matrices
+    are refreshed from coeffs' softmax first, once per call.
 
-    Without `work` the call builds its own Workspace, so every array it
-    returns is fresh.  With one, the pass runs in its buffers under its
-    layout (layout=None means that one; see Workspace for what it accepts)
-    and the weight gradients are its gradient buffer, valid until its next
-    evaluation.
+    Without `work` the call builds a Workspace of the state alone, so every
+    array it returns is fresh.  With one, the pass runs in its buffers, and
+    the weight gradients (and a loss with a member axis) are its buffers,
+    valid until its next evaluation.
     """
     weights = state.weights if weights is None else weights
     if work is None:
-        work = Workspace(state, weights.shape, layout)
-    elif not work.fits(state, weights, layout):
-        raise ValueError("the workspace was built for another state, parameter "
-                         "shape or layout")
-    _refresh(work, coeffs)
-    W, W_t = work.layers(weights)
+        work = Workspace([state], weights.shape)
+    elif state is not work.state or weights.shape != work.shape:
+        raise ValueError("the workspace was built for another state or parameter shape")
+    W, W_t = work.parameters(weights, coeffs)
     _forward_arrays(work, W)
     # the residual h_K - Y is the reverse pass's start, adj[K]
     np.subtract(work.h_K, state.Y, out=work.residual)
@@ -514,4 +533,6 @@ def loss_and_gradients(state: TrainState, weights=None, coeffs=None,
     params = work.layout.params
     if params is not None:
         cgrads = coeff_gradients(params, work.p, work.mm(work.Hq, work.Gq_t, work.q))
+        if work.squeeze:
+            cgrads = cgrads[None]
     return value, wgrads, cgrads

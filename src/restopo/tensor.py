@@ -41,25 +41,26 @@ def spectral_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(a, 2))
 
 
-def random_orthogonal(rng: np.random.Generator, d: int) -> np.ndarray:
-    """Haar-ish d x d orthogonal matrix: Householder QR of a Gaussian draw,
-    with the sign convention that diag(R) is nonnegative."""
-    g = rng.standard_normal((d, d))
+def _sign_fixed_q(g: np.ndarray) -> np.ndarray:
+    """Q of the Householder QR of g, its columns' signs set so that diag(R)
+    is nonnegative: one Q per g."""
     q, r = np.linalg.qr(g)
     signs = np.sign(np.diag(r))
     signs[signs == 0] = 1.0
     return q * signs
 
 
+def random_orthogonal(rng: np.random.Generator, d: int) -> np.ndarray:
+    """Haar-ish d x d orthogonal matrix: the sign-fixed Q of a Gaussian
+    draw."""
+    return _sign_fixed_q(rng.standard_normal((d, d)))
+
+
 def orthonormal_rows(rng: np.random.Generator, d: int, n: int) -> np.ndarray:
     """d x n matrix with orthonormal rows drawn from an existing generator."""
     if n < d:
         raise ShapeError(f"need n >= d, got d={d}, n={n}")
-    g = rng.standard_normal((n, d))
-    q, r = np.linalg.qr(g)
-    signs = np.sign(np.diag(r))
-    signs[signs == 0] = 1.0
-    return (q * signs).T.copy()
+    return _sign_fixed_q(rng.standard_normal((n, d))).T.copy()
 
 
 def random_orthogonal_data(d: int, n: int, seed: int) -> np.ndarray:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from restopo import experiments
+from restopo.ancre import AncreParams, heatmap
 from restopo.cli import main as cli_main
 from restopo.dynamics import RecordOptions, balance_drift, integrate_gf
 from restopo.experiments import (ExperimentConfig, compare, figure_instance,
@@ -95,6 +96,8 @@ class TestConfig:
         # the witnesses' checks assume their own integrator
         ("lb-witness", "optimizer", "gd"),
         ("ub-witness", "optimizer", "gf-rk4"),
+        # its one check reads the ingoing heatmap, which outgoing mixing has not
+        ("ancre-lnn", "ancre_mode", "outgoing"),
     ])
     def test_bad_field_raises_before_any_directory(self, tmp_path, preset, field, value):
         with pytest.raises(ValueError, match=field):
@@ -306,6 +309,48 @@ class TestInvariantChecks:
         # a trajectory with no record after t = 0 has nothing to exceed
         start, _ = integrate_gf(state, 1e-3, 0.0, "euler")
         assert experiments._w3_growth_check(start, L0)["passed"]
+
+    def test_w1w2_growth_cap_fails_above_the_cap(self):
+        # along the ub witness's flow ||W1||^2 + ||W2||^2 shrinks a little,
+        # so its largest ratio to the cap, 0.0812, is its start's, e^-M;
+        # grown by 1.1 e^M after t = 0, it reaches 1.1 times the cap
+        state, _, L0, _ = ub_witness_init(4, 0.5, 1)
+        init_norms = [float(np.linalg.norm(w)) for w in state.weights]
+        traj, _ = integrate_gf(state, 1e-3, 2.0, "euler", RecordOptions(record_every=10))
+        check = experiments._w1w2_growth_cap_check(traj.weight_fro_norms, init_norms, L0,
+                                                    0.5)
+        assert check["name"] == "w1w2_growth_cap"
+        assert check["passed"] and check["value"] == pytest.approx(0.0812, abs=1e-4)
+        grown = traj.weight_fro_norms.copy()
+        grown[1:, :2] *= np.sqrt(1.1 / check["value"])
+        over = experiments._w1w2_growth_cap_check(grown, init_norms, L0, 0.5)
+        assert not over["passed"] and over["value"] == pytest.approx(1.1, abs=1e-3)
+
+    def test_suppression_fails_on_the_untrained_uniform_heatmap(self):
+        # layer 3 reading h_1 at raw coefficient 1 (temperature 0.1) weighs
+        # 0:3 and 2:3 e^-10 as much, a log10 ratio of -4.34; the untrained
+        # uniform layout's heatmap is all 0, against the bound of -0.3
+        c = np.zeros((4, 4))
+        c[1, 3] = 1.0
+        favoured = experiments._suppression_check(heatmap(AncreParams(K=3, c=c)))
+        assert favoured["name"] == "suppression_0K_and_Kminus1K"
+        assert favoured["passed"] and favoured["value"] == pytest.approx(-10 / np.log(10))
+        assert favoured["note"] == "log10 weight ratios into layer 3: [-4.343, 0.0, -4.343]"
+        uniform = experiments._suppression_check(heatmap(AncreParams.uniform(3)))
+        assert not uniform["passed"] and uniform["value"] == 0.0
+        # favouring 2:3 as much as 1:3 leaves 0:3 suppressed, but not 2:3
+        c[2, 3] = 1.0
+        half = experiments._suppression_check(heatmap(AncreParams(K=3, c=c)))
+        assert not half["passed"] and half["value"] == 0.0
+
+    def test_depth_slowdown_fails_when_depth_order_is_not_increasing(self):
+        rising = experiments._depth_slowdown_check({2: 100.0, 3: 250.0, 4: 900.0})
+        assert rising["name"] == "depth_slowdown_monotone" and rising["passed"]
+        assert rising["note"] == "iterations to 1e-4 by depth: 100.0, 250.0, 900.0"
+        for counts in ({2: 100.0, 3: 900.0, 4: 250.0}, {2: 250.0, 3: 250.0, 4: 900.0},
+                       {4: 100.0, 3: 250.0, 2: 900.0}):
+            check = experiments._depth_slowdown_check(counts)
+            assert not check["passed"] and check["value"] == 0.0
 
 
 class TestRun:

@@ -3,9 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from restopo.ancre import AncreParams, candidate_pairs, normalize
-from restopo.network import (Topology, TrainState, Workspace, forward, loss_and_gradients,
-                             stack_layouts, state_layout)
+from restopo.ancre import AncreParams, candidate_pairs
+from restopo.network import Topology, TrainState, Workspace, forward, loss_and_gradients
 from restopo.oracles import fd_gradient, pack_state
 from restopo.tensor import ShapeError, make_rng, random_orthogonal_data
 
@@ -304,10 +303,9 @@ def _assert_members_match_solo(topologies, nonlinearity, base_seed, first_seed=0
     states = [TrainState(weights=make_state(K=K, seed=first_seed + s).weights, X=base.X,
                          Y=base.Y, topology=t, nonlinearity=nonlinearity)
               for s, t in enumerate(topologies)]
-    layout = stack_layouts([t.layout for t in topologies])
     weights = np.array([s.weights for s in states])
-    work = Workspace(states[0], weights.shape, layout)
-    value, wgrads, _ = loss_and_gradients(states[0], weights, None, layout, work)
+    work = Workspace(states, weights.shape)
+    value, wgrads, _ = loss_and_gradients(states[0], weights, None, work)
     for m, st in enumerate(states):
         solo = loss_and_gradients(st)
         assert value[m] == solo[0]
@@ -320,7 +318,7 @@ class TestWorkspace:
     @pytest.mark.parametrize("case", list(WORKSPACE_CASES))
     def test_matches_fresh_arrays(self, case):
         st = make_state(seed=7, **WORKSPACE_CASES[case])
-        work = Workspace(st, st.weights.shape)
+        work = Workspace([st], st.weights.shape)
         rng = make_rng(9)
         # several parameter sets in turn, so that anything one pass left in
         # the buffers would show in the next
@@ -343,12 +341,12 @@ class TestWorkspace:
         base = make_state(seed=4)
         states = [TrainState(weights=make_state(seed=s).weights, X=base.X, Y=base.Y,
                              topology=t) for s, t in enumerate(topologies)]
-        layout = stack_layouts([t.layout for t in topologies])
         weights = np.array([s.weights for s in states])
-        work = Workspace(states[0], weights.shape, layout)
+        work = Workspace(states, weights.shape)
         for scale in (1.0, 2.0, 0.5):
-            want = loss_and_gradients(states[0], scale * weights, None, layout)
-            got = loss_and_gradients(states[0], scale * weights, None, layout, work)
+            want = loss_and_gradients(states[0], scale * weights, None,
+                                      Workspace(states, weights.shape))
+            got = loss_and_gradients(states[0], scale * weights, None, work)
             np.testing.assert_array_equal(got[0], want[0])
             np.testing.assert_array_equal(got[1], want[1])
             # and each member is its own solo pass
@@ -391,15 +389,12 @@ class TestWorkspace:
         states += [TrainState(weights=make_state(K=K, d=5, n=7, seed=30 + m).weights,
                               X=base.X, Y=base.Y, ancre=params, nonlinearity=nonlinearity)
                    for m, params in enumerate(learned)]
-        layout = stack_layouts([st.topology.layout for st in states[:2]]
-                               + [state_layout(st) for st in states[2:]])
-        assert layout.rows == slice(2, None)
         weights = np.array([st.weights for st in states])
         coeffs = np.array([params.c for params in learned])
-        work = Workspace(states[0], weights.shape, layout)
+        work = Workspace(states, weights.shape)
+        assert work.layout.rows == slice(2, None)
         for _ in range(2):  # a second pass refreshes the learned rows again
-            value, wgrads, cgrads = loss_and_gradients(states[0], weights, coeffs, layout,
-                                                       work)
+            value, wgrads, cgrads = loss_and_gradients(states[0], weights, coeffs, work)
             assert cgrads.shape == (2, K + 1, K + 1)
             for m, st in enumerate(states):
                 solo = loss_and_gradients(st)
@@ -413,16 +408,20 @@ class TestWorkspace:
                           for st, params in zip(states[2:], learned)]
 
     def test_stack_rejects_learned_rows_out_of_place(self):
-        fixed, learned = Topology.cascaded(3).layout, state_layout(
-            make_state(ancre=AncreParams.uniform(3)))
+        fixed = make_state(topology=Topology.cascaded(3))
+        learned = make_state(ancre=AncreParams.uniform(3))
+
+        def stack(states):
+            return Workspace(states, (len(states),) + fixed.weights.shape)
+
         with pytest.raises(ValueError, match="last"):
-            stack_layouts([learned, fixed])
-        other = state_layout(make_state(ancre=AncreParams.uniform(3, mode="outgoing")))
+            stack([learned, fixed])
+        other = make_state(ancre=AncreParams.uniform(3, mode="outgoing"))
         with pytest.raises(ValueError, match="temperature"):
-            stack_layouts([fixed, learned, other])
-        off = state_layout(make_state(ancre=AncreParams.uniform(3), trunk=False))
+            stack([fixed, learned, other])
+        off = make_state(ancre=AncreParams.uniform(3), trunk=False)
         with pytest.raises(ValueError, match="trunk"):
-            stack_layouts([fixed, off])
+            stack([fixed, off])
 
     def test_stacked_loss_is_each_members_vdot(self):
         # the stacked loss is one (B, 1, dn) by (B, dn, 1) product; each
@@ -436,9 +435,9 @@ class TestWorkspace:
                                  Y=base.Y, topology=t) for s, t in enumerate(topologies)]
             states[1] = dataclasses.replace(states[1], weights=1e60 * states[1].weights)
             weights = np.array([st.weights for st in states])
-            layout = stack_layouts([t.layout for t in topologies])
             with np.errstate(over="ignore", invalid="ignore"):
-                value, _, _ = loss_and_gradients(states[0], weights, None, layout)
+                value, _, _ = loss_and_gradients(states[0], weights, None,
+                                                 Workspace(states, weights.shape))
                 for m, st in enumerate(states):
                     r = forward(st) - st.Y
                     assert value[m] == 0.5 * float(np.vdot(r, r))
@@ -477,7 +476,7 @@ class TestWorkspace:
         # finite pass must not read any of them, dL/dP's row and column 0
         # included
         st = make_state(K=4, ancre=_mixing(4, mode, 5), trunk=trunk, seed=11)
-        work = Workspace(st, st.weights.shape)
+        work = Workspace([st], st.weights.shape)
         with np.errstate(all="ignore"):
             bad = loss_and_gradients(st, 1e120 * st.weights, work=work)
         assert not np.isfinite(bad[0])
@@ -489,7 +488,7 @@ class TestWorkspace:
 
     def test_gradients_valid_until_the_next_eval(self):
         st = make_state(seed=3, **WORKSPACE_CASES["ingoing"])
-        work = Workspace(st, st.weights.shape)
+        work = Workspace([st], st.weights.shape)
         first = loss_and_gradients(st, work=work)
         kept = (first[0], first[1].copy(), first[2].copy())
         weights, X = st.weights.copy(), st.X.copy()
@@ -509,66 +508,69 @@ class TestWorkspace:
 
     def test_rejects_another_state_or_shape(self):
         st = make_state(K=3, topology=Topology.cascaded(3))
-        work = Workspace(st, st.weights.shape)
+        work = Workspace([st], st.weights.shape)
         other = make_state(K=3, topology=Topology.cascaded(3), seed=5)
         with pytest.raises(ValueError, match="workspace"):
             loss_and_gradients(other, work=work)
-        with pytest.raises(ValueError, match="workspace"):
-            loss_and_gradients(st, np.array([st.weights] * 2),
-                               layout=stack_layouts([st.topology.layout] * 2), work=work)
+        for weights in (np.array([st.weights] * 2), st.weights[None]):
+            with pytest.raises(ValueError, match="workspace"):
+                loss_and_gradients(st, weights, work=work)
         tanh = TrainState(weights=st.weights, X=st.X, Y=st.Y, topology=st.topology,
                           nonlinearity="tanh")
         with pytest.raises(ValueError, match="workspace"):
             loss_and_gradients(tanh, work=work)
 
-    def test_serves_only_the_layout_it_was_built_with(self):
-        # the two stacks share their sources (the union), trunk and rows,
-        # but not their coefficients; the workspace binds views of the first
-        # one's matrix, so the second is refused, as is an equal copy
-        K = 3
-        st = make_state(K=K, topology=Topology.single(0, 2, K), seed=2)
-        pair = [Topology.single(0, 2, K).layout, Topology.none(K).layout]
-        built, swapped = stack_layouts(pair), stack_layouts(pair[::-1])
-        assert (swapped.sources, swapped.trunk, swapped.rows) == (
-            built.sources, built.trunk, built.rows)
-        weights = np.array([st.weights, 0.5 * st.weights])
-        work = Workspace(st, weights.shape, built)
-        for other in (swapped, stack_layouts(pair)):
-            with pytest.raises(ValueError, match="workspace"):
-                loss_and_gradients(st, weights, None, other, work)
-        # with the workspace, layout=None is the layout it was built with
-        want = loss_and_gradients(st, weights, None, built)
-        for layout in (built, None):
-            got = loss_and_gradients(st, weights, None, layout, work)
-            np.testing.assert_array_equal(got[0], want[0])
-            np.testing.assert_array_equal(got[1], want[1])
+    @pytest.mark.parametrize("case", list(WORKSPACE_CASES))
+    def test_a_lone_member_axis_changes_only_the_shapes(self, case):
+        # one member runs the lone plan whether or not its parameters carry
+        # the member axis: the same loss and gradients, bit for bit
+        st = make_state(seed=7, **WORKSPACE_CASES[case])
+        bare = Workspace([st], st.weights.shape)
+        stacked = Workspace([st], (1,) + st.weights.shape)
+        rng = make_rng(9)
+        for _ in range(3):
+            weights = st.weights + 0.3 * rng.standard_normal(st.weights.shape)
+            coeffs = None
+            if st.ancre is not None:
+                coeffs = st.ancre.c + np.triu(rng.uniform(-1, 1, st.ancre.c.shape), 1)
+            want = loss_and_gradients(st, weights, coeffs, bare)
+            got = loss_and_gradients(st, weights[None],
+                                     None if coeffs is None else coeffs[None], stacked)
+            assert got[0].shape == (1,) and got[0][0] == want[0]
+            assert got[1].shape == (1,) + weights.shape
+            np.testing.assert_array_equal(got[1][0], want[1])
+            if st.ancre is None:
+                assert got[2] is None and want[2] is None
+            else:
+                assert got[2].shape == (1,) + coeffs.shape
+                np.testing.assert_array_equal(got[2][0], want[2])
 
-    @pytest.mark.parametrize("trunk", [True, False])
-    def test_layout_none_evaluates_the_workspaces_own_learned_layout(self, trunk):
-        # each call refreshes the learned matrix the workspace bound from
-        # that call's coefficients
-        st = make_state(K=3, ancre=_mixing(3, "ingoing", 4), trunk=trunk, seed=5)
-        layout = state_layout(st)
-        work = Workspace(st, st.weights.shape, layout)
-        for shift in (0.0, 0.7):
-            coeffs = st.ancre.c + np.triu(np.full(st.ancre.c.shape, shift), 1)
-            got = loss_and_gradients(st, None, coeffs, None, work)
-            np.testing.assert_array_equal(layout.matrix, normalize(st.ancre, coeffs))
-            want = loss_and_gradients(st, None, coeffs, state_layout(st))
-            assert got[0] == want[0]
-            np.testing.assert_array_equal(got[1], want[1])
-            np.testing.assert_array_equal(got[2], want[2])
+    def test_buffers_start_on_64_byte_boundaries(self):
+        # np.empty aligns to 16 bytes; the workspace's large buffers must not
+        # depend on where the allocator happens to put them
+        for n in range(4, 20):
+            st = make_state(d=4, n=n, seed=n, **WORKSPACE_CASES["outgoing_trunk_off_tanh"])
+            for states, shape in (([st], st.weights.shape), ([st, st], (2,) + st.weights.shape)):
+                work = Workspace(states, shape)
+                # h_K and the residual are the last layers of H and adj
+                layers = st.K * work.tmp.nbytes
+                for start in (work.tmp.ctypes.data, work.grads.ctypes.data,
+                              work.h_K.ctypes.data - layers, work.residual.ctypes.data - layers):
+                    assert start % 64 == 0
 
-    def test_rejects_a_learned_layout_with_the_same_sources(self):
-        # the fixed layout with every pair i < j has a learned layout's
-        # sources, but not its coefficients
-        fixed = make_state(K=3, topology=Topology(K=3, shortcuts=frozenset(
-            candidate_pairs(3))))
-        work = Workspace(fixed, fixed.weights.shape)
-        learned = TrainState(weights=fixed.weights, X=fixed.X, Y=fixed.Y,
-                             ancre=AncreParams.uniform(3))
+    def test_rejects_another_member_count(self):
+        topologies = [Topology.cascaded(3), Topology.none(3), Topology.single(1, 3, 3)]
+        states = [make_state(topology=t) for t in topologies]
+        weights = np.array([st.weights for st in states])
+        for shape in (weights.shape[1:], (2,) + weights.shape[1:],
+                      (4,) + weights.shape[1:]):
+            with pytest.raises(ValueError, match="3 member"):
+                Workspace(states, shape)
+        work = Workspace(states, weights.shape)
         with pytest.raises(ValueError, match="workspace"):
-            loss_and_gradients(learned, work=work)
+            loss_and_gradients(states[0], weights[:2], work=work)
+        with pytest.raises(ValueError, match="1 member"):
+            Workspace(states[:1], weights.shape)
 
 
 class TestTrainStateValidation:
