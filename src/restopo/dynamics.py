@@ -17,6 +17,18 @@ stops on its own (loss blow-up, loss floor, non-finite gradient or step
 budget) and is then frozen, so its trajectory and final state are those
 of a solo run, bit for bit.  run_gd and integrate_gf train one state.
 
+Without tanh and with more data columns than rows (n > d), the driver
+trains on d x d data: once per call, one QR factorization of the shared
+data (see _reduced) gives X^T = Q R with Q of orthonormal columns, and
+the members are evaluated on X' = R^T and Y' = Y Q.  Every gradient is
+the full data's, and every loss the driver sees (the floor and blow-up
+tests, the records) is the reduced loss plus the constant
+0.5 ||Y - Y Q Q^T||^2, the part of the loss outside X's row space, so
+trajectories match full-data training to rounding, not bit for bit.
+Shrunk active sets reuse the reduced states, and the final states carry
+the callers' X and Y.  With n <= d or under tanh there is no reduction,
+and each step is that of full-data training, bit for bit.
+
 Every active set, a lone member included, holds its parameters in one
 form: weights (B, K, d, d) and the learned members' raw coefficients
 (L, K+1, K+1).  The driver keeps one network Workspace of the set's
@@ -260,6 +272,31 @@ def _parameters(states) -> tuple[np.ndarray, np.ndarray | None]:
     return weights, np.array(learned) if learned else None
 
 
+def _reduced(states) -> tuple[list, float]:
+    """The member states the driver trains, and the constant it adds to
+    their losses.  Without tanh, the output of a state on X is M X for a
+    d x d map M of its parameters.  One QR factorization of the stacked
+    data, [X; Y]^T = [Q1 Q2] [[R11, R12], [0, R22]] (R only; Q1 is n x d
+    with orthonormal columns), gives X^T = Q1 R11 and Y Q1 = R12^T, and
+    the residual Y - Y Q1 Q1^T = (Q2 R22)^T is orthogonal to every M X, so
+
+        ||M X - Y||^2 = ||M R11^T - R12^T||^2 + ||R22||^2.
+
+    On X' = R11^T and Y' = R12^T, both d x d, every gradient is the same,
+    and every loss falls short by 0.5 ||R22||^2, which is returned: the
+    residual's own norm, not ||Y||^2 - ||Y Q1||^2, which cancels near the
+    loss floor.  With n <= d there are no columns to save, and under tanh
+    the identity fails: the states come back as they are, with 0.0."""
+    first = states[0]
+    d, n = first.X.shape
+    if first.nonlinearity != "none" or n <= d:
+        return states, 0.0
+    R = np.linalg.qr(np.concatenate((first.X, first.Y)).T, mode="r")
+    X, Y = np.ascontiguousarray(R[:d, :d].T), np.ascontiguousarray(R[:d, d:].T)
+    outside = R[d:, d:].reshape(-1)
+    return [replace(s, X=X, Y=Y) for s in states], 0.5 * float(outside.dot(outside))
+
+
 def _with_parameters(state: TrainState, weights: np.ndarray,
                      coeffs: np.ndarray | None) -> TrainState:
     return replace(state, weights=weights,
@@ -324,7 +361,12 @@ def _drive(states, method: str, step: float, n_steps: int, lr_c: float | None,
     every stop); a stopping member's trajectory is built from its column
     then, and it keeps the parameters it stopped with.  The rest take the
     method's update in place.  The budget step's gradients are computed but
-    neither used nor checked."""
+    neither used nor checked.
+
+    The active sets evaluate the states of _reduced, factored once here,
+    and add its loss offset to every loss before the tests and the
+    records; the final states are the callers' with the trained
+    parameters."""
     options = options or RecordOptions()
     step_c = step if lr_c is None else lr_c
     update = _rk4 if method == "rk4" else _descend
@@ -334,7 +376,8 @@ def _drive(states, method: str, step: float, n_steps: int, lr_c: float | None,
     # order at the end
     order = sorted(range(len(states)), key=lambda m: states[m].ancre is not None)
     states = [states[m] for m in order]
-    active = _Active(states, list(range(len(states))), *_parameters(states))
+    trained, offset = _reduced(states)
+    active = _Active(trained, list(range(len(states))), *_parameters(states))
     rec = _Recorder(options, step, n_steps // options.record_every + 2, len(states),
                     states[0].K, states[0].d)
     results = [None] * len(states)
@@ -343,6 +386,8 @@ def _drive(states, method: str, step: float, n_steps: int, lr_c: float | None,
     for it in range(n_steps + 1):
         budget = it == n_steps
         values, wgrads, cgrads = active.grad(active.weights, active.coeffs)
+        if offset:
+            values = [v + offset for v in values]
         stops = {}
         for row, v in enumerate(values):
             if not v <= DIVERGENCE_THRESHOLD:
@@ -367,7 +412,7 @@ def _drive(states, method: str, step: float, n_steps: int, lr_c: float | None,
             keep = [row for row in range(len(values)) if row not in stops]
             if not keep:
                 break
-            active, wgrads, cgrads = active.shrink(states, keep, wgrads, cgrads)
+            active, wgrads, cgrads = active.shrink(trained, keep, wgrads, cgrads)
         update(active, wgrads, cgrads, step, step_c)
 
     return [results[row] for row in np.argsort(order)]
@@ -409,7 +454,13 @@ def train_batch(states, method: str, step: float, n_steps: int, lr_c: float | No
     nonlinearity and trunk, so a trunk-off learned layout cannot join fixed
     ones, which keep their trunk; their initial weights and layouts may
     differ, fixed and learned (ANCRe) alike, and the learned ones must
-    share their softmax mode and temperature."""
+    share their softmax mode and temperature.
+
+    Without tanh and with n > d the members train on d x d data from one
+    QR factorization of X and Y, their losses offset by the part outside X's
+    row space (see the module docstring): the trajectories equal full-data
+    training to rounding.  With n <= d or under tanh they train on X and Y
+    themselves."""
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     _check_schedule("step", step, "n_steps", n_steps, lr_c)

@@ -41,11 +41,24 @@ def one_step(state, lr, lr_c=None):
 
 class TestGdStep:
     def test_zero_gradient_is_fixed_point(self):
+        # on square data the driver trains on X itself, so Y = forward(st)
+        # zeroes the residual and every gradient exactly
         st = small_state()
-        fitted = TrainState(weights=st.weights, X=st.X, Y=forward(st), topology=st.topology)
+        X = random_orthogonal_data(4, 4, 1)
+        square = TrainState(weights=st.weights, X=X, Y=X, topology=st.topology)
+        fitted = dataclasses.replace(square, Y=forward(square))
         nxt = one_step(fitted, lr=0.1)
         for a, b in zip(nxt.weights, fitted.weights):
             np.testing.assert_array_equal(a, b)
+
+    def test_zero_gradient_is_a_fixed_point_to_rounding_on_wide_data(self):
+        # with n > d the driver trains on (R^T, Y Q) from X^T = Q R, where
+        # Y = forward(st) leaves a residual of rounding size, about
+        # eps ||Y||: one step at lr 0.1 moves a weight by less than 1e-15
+        st = small_state()
+        fitted = TrainState(weights=st.weights, X=st.X, Y=forward(st), topology=st.topology)
+        nxt = one_step(fitted, lr=0.1)
+        np.testing.assert_allclose(nxt.weights, fitted.weights, rtol=0, atol=1e-15)
 
     def test_scalar_hand_iteration(self):
         # w <- w - lr * (w x - y) x at (x, y, w0, lr) = (1, 1, 0, 0.5) gives 0.5
@@ -106,13 +119,16 @@ def ancre_state(seed=0, K=3, d=4):
                       ancre=AncreParams.uniform(K, mode="outgoing", temperature=0.3))
 
 
-def textbook_step(state, method, step, step_c):
+def textbook_step(state, method, step, step_c, reduce=True):
     """One update of `method` from fresh loss_and_gradients calls, written
-    as the textbook formula: (weights, raw coefficients or None)."""
+    as the textbook formula: (weights, raw coefficients or None).  They
+    evaluate the state the driver trains (dynamics._reduced), or with
+    reduce=False the state itself."""
     c0 = None if state.ancre is None else state.ancre.c
+    evaluated = dynamics._reduced([state])[0][0] if reduce else state
 
     def grad(w, c):
-        _, gw, gc = loss_and_gradients(state, w, c)
+        _, gw, gc = loss_and_gradients(evaluated, w, c)
         return gw, gc
 
     def shifted(c, h, g):
@@ -158,6 +174,125 @@ class TestTextbookUpdate:
         for st, (_, final) in zip(states, batch):
             np.testing.assert_array_equal(final.weights, textbook_step(st, method, 0.05,
                                                                       0.05)[0])
+
+
+def wide_state(kind, outside, seed=20, K=3, d=4, n=9):
+    """A state on Gaussian d x n data: fixed (cascaded), ingoing or
+    outgoing with the trunk off; Y is realizable, or with `outside` plus a
+    component outside X's row space."""
+    rng = make_rng(seed)
+    X = rng.standard_normal((d, n)) / np.sqrt(n)
+    Y = rng.standard_normal((d, d)) @ X + (0.3 * rng.standard_normal((d, n)) if outside else 0)
+    weights = rng.standard_normal((K, d, d)) * 0.3
+    if kind == "fixed":
+        return TrainState(weights=weights, X=X, Y=Y, topology=Topology.cascaded(K))
+    mode, trunk = {"ingoing": ("ingoing", True), "outgoing": ("outgoing", False)}[kind]
+    return TrainState(weights=weights, X=X, Y=Y, trunk=trunk,
+                      ancre=AncreParams.uniform(K, mode=mode, temperature=0.5))
+
+
+def hand_loop(state, method, step, n_steps):
+    """n_steps textbook updates on the full data: (the losses before each
+    step and after the last, the final state)."""
+    losses = []
+    for _ in range(n_steps):
+        losses.append(loss_and_gradients(state)[0])
+        w, c = textbook_step(state, method, step, step, reduce=False)
+        state = dataclasses.replace(state, weights=w,
+                                    ancre=None if c is None else state.ancre.with_coeffs(c))
+    return losses + [loss_and_gradients(state)[0]], state
+
+
+def drive(states, method, step, n_steps, options=None):
+    """train_batch, or for one state its solo driver."""
+    if len(states) > 1:
+        return train_batch(states, method, step, n_steps, options=options)
+    if method == "gd":
+        return [run_gd(states[0], step, n_steps, options=options)]
+    return [integrate_gf(states[0], step, step * n_steps, method, options)]
+
+
+@pytest.fixture
+def qr_calls(monkeypatch):
+    """The np.linalg.qr calls made while the test runs."""
+    calls, real = [], np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda *a, **k: calls.append(a) or real(*a, **k))
+    return calls
+
+
+class TestReducedData:
+    """Without tanh and with n > d, the driver trains on the d x d data of
+    one QR factorization of X and Y and adds the loss outside X's row space:
+    its losses and updates are those of full-data steps to rounding."""
+
+    @pytest.mark.parametrize("method", ["gd", "euler", "rk4"])
+    @pytest.mark.parametrize("outside", [False, True], ids=["realizable", "outside"])
+    @pytest.mark.parametrize("kind", ["fixed", "ingoing", "outgoing"])
+    def test_matches_full_data_steps(self, kind, outside, method, qr_calls):
+        st = wide_state(kind, outside)
+        [(traj, final)] = drive([st], method, 0.05, 6, RecordOptions(record_every=1))
+        losses, want = hand_loop(st, method, 0.05, 6)
+        assert len(qr_calls) == 1
+        np.testing.assert_allclose(traj.losses, losses, rtol=1e-12)
+        np.testing.assert_allclose(final.weights, want.weights, rtol=1e-12)
+        if st.ancre is not None:
+            assert np.any(final.ancre.c != 0)
+            np.testing.assert_allclose(final.ancre.c, want.ancre.c, rtol=1e-12)
+
+    def test_the_offset_is_the_residuals_own_norm(self):
+        # Y = A X + 1e-10 E with E orthogonal to X's rows: the offset is
+        # 0.5 ||1e-10 E||^2 = 5e-21 ||E||^2, to the rounding of Y (eps ||Y||
+        # against entries of 1e-10); ||Y||^2 - ||Y Q||^2 would cancel to
+        # within eps ||Y||^2, some 1e-15
+        st = wide_state("fixed", False)
+        E = make_rng(3).standard_normal(st.X.shape)
+        E -= np.linalg.lstsq(st.X.T, E.T, rcond=None)[0].T @ st.X
+        wide = dataclasses.replace(st, Y=st.Y + 1e-10 * E)
+        want = 0.5e-20 * np.sum(E * E)
+        assert dynamics._reduced([wide])[1] == pytest.approx(want, rel=1e-5, abs=0)
+        assert 0 <= dynamics._reduced([st])[1] < 1e-28
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("method", ["gd", "rk4"])
+    def test_a_shrinking_batch_factors_once(self, method, qr_calls):
+        # a member whose loss overflows stops at step 0, one whose finite
+        # step overshoots stops at step 1 (test_members_match_solo_runs'
+        # recipes); the shrunk sets train on the same reduced data
+        st = wide_state("fixed", True, K=2)
+        d = st.d
+        members = [st, dataclasses.replace(st, weights=np.full((2, d, d), 1e200)),
+                   dataclasses.replace(st, weights=[np.eye(d) * 1e200, np.eye(d) * 1e-197],
+                                       topology=Topology.single(0, 2, 2)),
+                   dataclasses.replace(wide_state("ingoing", True, K=2), X=st.X, Y=st.Y)]
+        batch = drive(members, method, 0.05, 6, RecordOptions(record_every=1))
+        assert len(qr_calls) == 1
+        assert [(traj.stop_reason, traj.steps) for traj, _ in batch] == [
+            ("budget", 6), ("loss_blowup", 0), ("loss_blowup", 1), ("budget", 6)]
+        for m in (0, 3):
+            losses, want = hand_loop(members[m], method, 0.05, 6)
+            np.testing.assert_allclose(batch[m][0].losses, losses, rtol=1e-12)
+            np.testing.assert_allclose(batch[m][1].weights, want.weights, rtol=1e-12)
+
+    @pytest.mark.parametrize("method", ["gd", "rk4"])
+    def test_tanh_and_square_runs_take_the_full_data(self, method, qr_calls):
+        tanh = dataclasses.replace(wide_state("fixed", True), nonlinearity="tanh")
+        square = wide_state("ingoing", True, n=4)
+        for st in (tanh, square):
+            assert dynamics._reduced([st]) == ([st], 0.0)
+            [(_, final)] = drive([st], method, 0.05, 1)
+            w, c = textbook_step(st, method, 0.05, 0.05, reduce=False)
+            np.testing.assert_array_equal(final.weights, w)
+            if c is not None:
+                np.testing.assert_array_equal(final.ancre.c, c)
+        assert qr_calls == []
+
+    def test_final_states_carry_the_callers_data(self):
+        members = [wide_state("fixed", True), wide_state("fixed", True, seed=21)]
+        members[1] = dataclasses.replace(members[1], X=members[0].X, Y=members[0].Y)
+        for st, (_, final) in zip(members, train_batch(members, "gd", 0.05, 3)):
+            assert final.X is st.X and final.Y is st.Y
+            assert np.any(final.weights != st.weights)
 
 
 class TestRecordOptions:
@@ -610,13 +745,17 @@ class TestBalanceGap:
         np.testing.assert_array_equal(dynamics.balance_gap(view), self.per_record(view))
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_a_step_calls_neither_dispatched_numpy_functions_nor_np_array(monkeypatch):
     # np.dot, np.vdot, np.copyto and np.sum pass through numpy's
     # __array_function__ dispatch, and np.array builds a fresh array; the
     # driver's step and the network's pass call none of them, so runs of
     # 100 steps call each as often as runs of 10 (and so do the record
-    # steps in between)
-    names = ("dot", "vdot", "copyto", "sum", "array")
+    # steps in between).  The data's factorization, np.linalg.qr, runs once
+    # per driver call (these states have n > d), however many steps it takes
+    # and however often its active set shrinks.
+    names = ("dot", "vdot", "copyto", "sum", "array", "qr", "drive", "shrink")
     counts = dict.fromkeys(names, 0)
 
     def counted(name, real):
@@ -625,12 +764,15 @@ def test_a_step_calls_neither_dispatched_numpy_functions_nor_np_array(monkeypatc
             return real(*args, **kwargs)
         return wrapper
 
-    for name in names:
-        monkeypatch.setattr(np, name, counted(name, getattr(np, name)))
+    for owner, name in [(np, name) for name in names[:5]] + [
+            (np.linalg, "qr"), (dynamics, "_drive"), (dynamics._Active, "shrink")]:
+        monkeypatch.setattr(owner, name, counted(name.strip("_"), getattr(owner, name)))
+
+    # drawing X calls np.linalg.qr too
+    fixed, learned = small_state(seed=1), ancre_state(seed=2)
 
     def counts_of_runs(n):
         counts.update(dict.fromkeys(names, 0))
-        fixed, learned = small_state(seed=1), ancre_state(seed=2)
         for st in (fixed, learned):
             run_gd(st, 0.01, n)
             integrate_gf(st, 0.01, 0.01 * n, "euler")
@@ -638,6 +780,14 @@ def test_a_step_calls_neither_dispatched_numpy_functions_nor_np_array(monkeypatc
         pair = [fixed, dataclasses.replace(fixed, topology=Topology.cascaded(3))]
         batch = train_batch(pair, "gd", 0.01, n)
         assert [traj.steps for traj, _ in batch] == [n, n]
+        # a member whose loss overflows stops at step 0; at lr 0.05 the pair's
+        # losses fall from 6.57 and 12.38 below the floor of 6 at steps 1 and
+        # 3: the active set shrinks twice before the last stop
+        trio = pair + [dataclasses.replace(fixed, weights=fixed.weights * 1e200)]
+        batch = train_batch(trio, "gd", 0.05, n, options=RecordOptions(stop_below=6.0))
+        assert [(traj.stop_reason, traj.steps) for traj, _ in batch] == [
+            ("floor", 1), ("floor", 3), ("loss_blowup", 0)]
+        assert counts["qr"] == counts["drive"] == 8 and counts["shrink"] == 2
         return dict(counts)
 
     # a first run imports modules that numpy.random loads lazily, and one of

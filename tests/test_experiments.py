@@ -294,6 +294,26 @@ class TestInvariantChecks:
         assert small["passed"] and small["value"] == pytest.approx(-8.2e-9, abs=1e-10)
         assert not large["passed"] and large["value"] == pytest.approx(7.8e-5, abs=1e-6)
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_ub_euler_loss_monotone_fails_at_too_large_a_step(self):
+        # the ub witness (lam 0.5) under the preset's Euler step never raises
+        # its loss; at dt=2.1 a step overshoots and raises it from 0.123 to a
+        # peak of 0.533, a plain rise (the run takes its 10 steps), and at
+        # dt=2.5 the loss blows up at step 7
+        state, _, _, _ = ub_witness_init(4, 0.5, 1)
+        runs = {dt: integrate_gf(state.copy(), dt, t_end, "euler",
+                                 RecordOptions(record_every=1 if dt > 1 else 10))[0]
+                for dt, t_end in ((1e-3, 2.0), (2.1, 21.0), (2.5, 20.0))}
+        values = {dt: experiments._monotone_loss_check(traj, "euler_loss_monotone")
+                  for dt, traj in runs.items()}
+        assert values[1e-3]["passed"]
+        rise, blowup = runs[2.1], runs[2.5]
+        assert rise.stop_reason == "budget" and rise.steps == 10
+        assert not values[2.1]["passed"]
+        assert values[2.1]["value"] == pytest.approx(0.075, abs=1e-3)
+        assert blowup.stop_reason == "loss_blowup" and blowup.steps == 7
+        assert not values[2.5]["passed"] and values[2.5]["value"] > 1e9
+
     def test_w3_growth_fails_when_w3_outgrows_its_cap(self):
         # the lb witness's W3 grows from 0.48 to 0.85 by t=2, at most 0.57
         # of the way to its cap ||W3(0)|| + sqrt(t L0) + 1e-3 at any t > 0;
