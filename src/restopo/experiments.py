@@ -11,7 +11,10 @@ A run executes one preset (or a custom configuration) and persists, under
 
 The curves a preset trains on one instance, its fixed layouts and its
 ANCRe curve, are trained as one batch (dynamics.train_batch) when they
-share a trunk; each curve's records equal those of a solo run.
+share a trunk; each curve's records equal those of a solo run.  A witness
+preset's side runs, which feed its checks but train no curve, run in
+forked worker processes while it trains its main curve (_side_runs); their
+results are those of a serial run, bit for bit.
 
 The run directory appears only when the run completes: its files are
 written into a hidden sibling that is then renamed into place, replacing
@@ -32,6 +35,7 @@ bounds, and W1 stays near zero so I + W1 cannot lose rank.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import itertools
 import json
@@ -42,6 +46,7 @@ import tempfile
 import time
 from dataclasses import asdict, dataclass, fields
 from functools import partial
+from operator import attrgetter
 from typing import Callable
 
 import numpy as np
@@ -339,12 +344,63 @@ def _curve(cfg: ExperimentConfig, record: dict, files: dict, curves: list,
                               for key, thr in zip(THRESHOLD_KEYS, THRESHOLDS)},
             "final_loss": float(traj.losses[-1]),
             "records": len(traj),
-            "steps": traj.steps,
-            "evals": traj.evals,
-            "stop_reason": traj.stop_reason,
             "diverged": traj.diverged,
+            **_counts(traj),
         }
     return results
+
+
+def _counts(traj: Trajectory) -> dict:
+    """What a run did: its steps, gradient evaluations and stop reason."""
+    return {"steps": traj.steps, "evals": traj.evals, "stop_reason": traj.stop_reason}
+
+
+# ---------------------------------------------------------------------------
+# side runs
+
+def _usable_cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+@contextlib.contextmanager
+def _side_runs(tasks: list):
+    """Start `tasks`, picklable calls of no arguments, in forked worker
+    processes, min(len(tasks), usable CPUs) of them, which take the tasks
+    in list order; yields a function, to be called once, that waits for
+    the tasks and returns their results in list order.  The caller works
+    on meanwhile.  With one usable CPU, or where fork is unavailable, that
+    function runs the tasks itself, in this process.  Every worker is
+    joined on leaving the block, when a task or the caller raises too.
+
+    Each task's result is its own computation's, bit for bit, wherever it
+    runs.  The workers are forked, not spawned, so that they do not import
+    numpy again.  Forking is safe here: the pool forks all its workers
+    before it starts its own thread, and OpenBLAS shuts its thread pool
+    down across a fork.  The pool is imported here, so that runs without
+    side runs load no multiprocessing module."""
+    cpus = _usable_cpus()
+    if cpus < 2 or not hasattr(os, "fork"):
+        yield lambda: [task() for task in tasks]
+        return
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
+    pool = ProcessPoolExecutor(min(len(tasks), cpus), mp_context=get_context("fork"))
+    try:
+        futures = [pool.submit(task) for task in tasks]
+        yield lambda: [future.result() for future in futures]
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _euler_run(state: TrainState, dt: float, t_end: float, reduce: Callable,
+               weights: bool = False) -> tuple:
+    """A witness's side run: explicit Euler from `state` to t_end, a
+    record every 10 steps (with the weights if `weights`); returns
+    reduce(trajectory) and the run's counts.  Module-level, with
+    module-level `reduce`, so that it pickles into a worker."""
+    traj, _ = integrate_gf(state, dt, t_end, "euler",
+                           RecordOptions(record_every=10, weights=weights))
+    return reduce(traj), _counts(traj)
 
 
 def _check(name: str, value: float, bound: float, kind: str, note: str = "") -> dict:
@@ -369,9 +425,8 @@ def _nonincreasing_check(name: str, values: np.ndarray, note: str = "") -> dict:
     return _check(name, float(np.max(increases)), 0.0, "<=", note=note)
 
 
-def _monotone_loss_check(traj: Trajectory, name: str) -> dict:
-    return _nonincreasing_check(name, traj.losses,
-                                "max recorded loss increase beyond 1e-10 * L")
+def _monotone_loss_check(losses: np.ndarray, name: str) -> dict:
+    return _nonincreasing_check(name, losses, "max recorded loss increase beyond 1e-10 * L")
 
 
 def _lower_bound_envelope_check(traj: Trajectory, a_d0: float) -> dict:
@@ -597,29 +652,34 @@ def _run_lb_witness(cfg: ExperimentConfig, record: dict, files: dict):
     record["witness"] = {"a_d0": a_d0, "rank_A": rank_A,
                          "w_d0": float(diag0.w[-1]), "u_d0": float(diag0.u[-1])}
 
-    [(traj, _)] = _curve(cfg, record, files, [("gf", state.copy())], weights=True,
-                         extra=lambda traj: {"lb_env": lower_bound_curve(a_d0, traj.times)})
+    # the Euler monotonicity run, reduced to its losses, runs beside the
+    # main curve
+    euler = partial(_euler_run, state.copy(), 1e-3, 20.0, attrgetter("losses"))
+    with _side_runs([euler]) as side_results:
+        [(traj, _)] = _curve(
+            cfg, record, files, [("gf", state.copy())], weights=True,
+            extra=lambda traj: {"lb_env": lower_bound_curve(a_d0, traj.times)})
 
-    checks = record["invariant_checks"]
-    checks.append(_lower_bound_envelope_check(traj, a_d0))
+        checks = record["invariant_checks"]
+        checks.append(_lower_bound_envelope_check(traj, a_d0))
 
-    oracle = diag_integrate(diag0, cfg.dt, cfg.t_end, method="rk4",
-                            record_every=cfg.record_every)
-    full_w, full_u, full_v = _witness_diagonals(traj.weights)
-    checks.append(_diag_oracle_match_check((full_w, full_u, full_v),
-                                           (oracle.w, oracle.u, oracle.v)))
+        oracle = diag_integrate(diag0, cfg.dt, cfg.t_end, method="rk4",
+                                record_every=cfg.record_every)
+        full_w, full_u, full_v = _witness_diagonals(traj.weights)
+        checks.append(_diag_oracle_match_check((full_w, full_u, full_v),
+                                               (oracle.w, oracle.u, oracle.v)))
 
-    wd, ud, vd = full_w[:, -1], full_u[:, -1], full_v[:, -1]
-    checks.append(_witness_u_equals_v_check(ud, vd))
-    checks.append(_witness_chain_check(wd, ud))
-    a_d = wd * ud * vd
-    checks.append(_witness_cbrt_check(wd, a_d))
-    checks.append(_nonincreasing_check("witness_a_squared_nonincreasing", a_d ** 2))
-    checks.append(_w3_growth_check(traj, float(traj.losses[0])))
+        wd, ud, vd = full_w[:, -1], full_u[:, -1], full_v[:, -1]
+        checks.append(_witness_u_equals_v_check(ud, vd))
+        checks.append(_witness_chain_check(wd, ud))
+        a_d = wd * ud * vd
+        checks.append(_witness_cbrt_check(wd, a_d))
+        checks.append(_nonincreasing_check("witness_a_squared_nonincreasing", a_d ** 2))
+        checks.append(_w3_growth_check(traj, float(traj.losses[0])))
 
-    euler_traj, _ = integrate_gf(state.copy(), 1e-3, 20.0, "euler",
-                                 RecordOptions(record_every=10))
-    checks.append(_monotone_loss_check(euler_traj, "euler_loss_monotone"))
+        [(losses, counts)] = side_results()
+    record["witness"]["euler_loss_monotone_run"] = counts
+    checks.append(_monotone_loss_check(losses, "euler_loss_monotone"))
 
 
 def _run_ub_witness(cfg: ExperimentConfig, record: dict, files: dict):
@@ -639,25 +699,30 @@ def _run_ub_witness(cfg: ExperimentConfig, record: dict, files: dict):
                        ub_env=upper_bound_curve(L0, cfg.lam, traj.times))
         return columns
 
-    [(traj, _)] = _curve(cfg, record, files, [("gf", state.copy())], extra=ub_columns,
-                         weights=True)
-    env = columns["ub_env"]
+    # The balance-drift runs run beside the main curve, longest first so
+    # that the shorter ones fill in behind it.  Each is reduced to its
+    # drift where it runs, so a process holds one run's weights at a time.
+    dts = (2e-3, 1e-3, 5e-4, 2.5e-4)
+    drift_runs = [partial(_euler_run, state.copy(), dt, 5.0, balance_drift, weights=True)
+                  for dt in reversed(dts)]
+    with _side_runs(drift_runs) as side_results:
+        [(traj, _)] = _curve(cfg, record, files, [("gf", state.copy())], extra=ub_columns,
+                             weights=True)
+        env = columns["ub_env"]
 
-    checks = record["invariant_checks"]
-    checks.append(_delta_compliant_init_check(init_norms, thr.used, halvings))
-    checks.append(_upper_bound_envelope_check(traj.losses, env))
-    checks.append(_spectral_norm_containment_check(columns["spec_w1w2"], cfg.lam))
-    checks.append(_w1w2_growth_cap_check(traj.weight_fro_norms, init_norms, L0, cfg.lam))
-    checks.append(_w3_growth_check(traj, L0))
-    checks.append(_monotone_loss_check(traj, "euler_loss_monotone"))
+        checks = record["invariant_checks"]
+        checks.append(_delta_compliant_init_check(init_norms, thr.used, halvings))
+        checks.append(_upper_bound_envelope_check(traj.losses, env))
+        checks.append(_spectral_norm_containment_check(columns["spec_w1w2"], cfg.lam))
+        checks.append(_w1w2_growth_cap_check(traj.weight_fro_norms, init_norms, L0,
+                                             cfg.lam))
+        checks.append(_w3_growth_check(traj, L0))
+        checks.append(_monotone_loss_check(traj.losses, "euler_loss_monotone"))
 
-    drifts = {}
-    for dt in (2e-3, 1e-3, 5e-4, 2.5e-4):
-        # each run's recorded weights are dropped once its drift is taken, so
-        # at most one run's weights are held at a time
-        drifts[dt] = balance_drift(integrate_gf(
-            state.copy(), dt, 5.0, "euler", RecordOptions(record_every=10, weights=True))[0])
-    record["witness"]["balance_drifts"] = {f"{dt:g}": drifts[dt] for dt in drifts}
+        runs = dict(zip(reversed(dts), side_results()))
+    drifts = {dt: runs[dt][0] for dt in dts}
+    record["witness"]["balance_drifts"] = {f"{dt:g}": drifts[dt] for dt in dts}
+    record["witness"]["balance_drift_runs"] = {f"{dt:g}": runs[dt][1] for dt in dts}
     checks.extend(_balance_drift_halving_checks(drifts))
 
 

@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -16,8 +18,8 @@ from restopo.oracles import (delta_threshold, diag_integrate, lb_witness_init, u
                              upper_bound_curve)
 
 
-PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                         "perfbench")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PERFBENCH = os.path.join(ROOT, "perfbench")
 
 
 def read(path):
@@ -29,6 +31,20 @@ def tree(path):
     """{relative file path: bytes} of every file under `path`."""
     return {str(f.relative_to(path)): f.read_bytes()
             for f in sorted(path.rglob("*")) if f.is_file()}
+
+
+def stable_tree(path):
+    """tree(path), with config.json and record.json read without the
+    fields that differ between equal runs: wall_clock_s and output_dir."""
+    out = tree(path)
+    for name, data in out.items():
+        if name.endswith(".json"):
+            body = json.loads(data)
+            body.pop("wall_clock_s", None)
+            body.pop("output_dir", None)
+            body.get("config", {}).pop("output_dir", None)
+            out[name] = body
+    return out
 
 
 class TestConfig:
@@ -263,6 +279,32 @@ class TestInvariantChecks:
         assert not cbrt["passed"]
         assert cbrt["value"] == pytest.approx((1.5 ** (2 / 3) - 1) * w.max())
 
+    def test_a_squared_nonincreasing_fails_where_euler_overshoots(self):
+        # the lb witness (seed 6) under the preset's Euler step: a_d = w u v
+        # of the rank-deficient coordinate shrinks towards its target 0.
+        # At dt=20 the step overshoots: u = v changes sign, and a_d^2 rises
+        # from 0.0208 to 0.0797 at step 1 (the other coordinates blow the
+        # loss up at step 2)
+        state, diag0 = lb_witness_init(4, 2, 6)
+        values = {}
+        for dt, t_end in ((1e-3, 2.0), (20.0, 200.0)):
+            traj, _ = integrate_gf(state.copy(), dt, t_end, "euler",
+                                   RecordOptions(record_every=1, weights=True))
+            w, u, v = (x[:, -1] for x in experiments._witness_diagonals(traj.weights))
+            a2 = (w * u * v) ** 2
+            values[dt] = (traj, a2, experiments._nonincreasing_check(
+                "witness_a_squared_nonincreasing", a2))
+        traj, a2, check = values[1e-3]
+        assert a2[0] == pytest.approx(float(diag0.a[-1]) ** 2, rel=1e-12)
+        assert check["name"] == "witness_a_squared_nonincreasing" and check["passed"]
+        traj, a2, check = values[20.0]
+        assert traj.stop_reason == "loss_blowup" and traj.steps == 2
+        assert a2[:2] == pytest.approx([0.0208, 0.0797], abs=1e-4)
+        assert not check["passed"]
+        # the rise at step 1 alone fails the check, before the blow-up
+        first = experiments._nonincreasing_check("witness_a_squared_nonincreasing", a2[:2])
+        assert not first["passed"] and first["value"] == pytest.approx(0.0589, abs=1e-4)
+
     def test_balance_drift_halving_fails_at_roundoff_drift(self):
         # Euler's drift halves with dt; RK4's conserves the gap to roundoff,
         # so its drift ratios have no order and every halving check fails
@@ -288,7 +330,7 @@ class TestInvariantChecks:
         for dt in (1e-3, 1.0):
             traj, _ = integrate_gf(state.copy(), dt, 20.0, "euler",
                                    RecordOptions(record_every=1))
-            values[dt] = experiments._monotone_loss_check(traj, "euler_loss_monotone")
+            values[dt] = experiments._monotone_loss_check(traj.losses, "euler_loss_monotone")
         small, large = values[1e-3], values[1.0]
         assert small["name"] == "euler_loss_monotone"
         assert small["passed"] and small["value"] == pytest.approx(-8.2e-9, abs=1e-10)
@@ -304,7 +346,7 @@ class TestInvariantChecks:
         runs = {dt: integrate_gf(state.copy(), dt, t_end, "euler",
                                  RecordOptions(record_every=1 if dt > 1 else 10))[0]
                 for dt, t_end in ((1e-3, 2.0), (2.1, 21.0), (2.5, 20.0))}
-        values = {dt: experiments._monotone_loss_check(traj, "euler_loss_monotone")
+        values = {dt: experiments._monotone_loss_check(traj.losses, "euler_loss_monotone")
                   for dt, traj in runs.items()}
         assert values[1e-3]["passed"]
         rise, blowup = runs[2.1], runs[2.5]
@@ -535,6 +577,87 @@ class TestRun:
         curve = rec["curves"]["0:2"]
         assert curve["diverged"]
         assert curve["verdict"]["kind"] == "diverged"
+
+
+def side_run_counts(steps):
+    return {"steps": steps, "evals": steps + 1, "stop_reason": "budget"}
+
+
+class TestSideRuns:
+    @pytest.mark.parametrize("preset,t_end,side_runs,counts", [
+        ("lb-witness", 0.2, 1, {"euler_loss_monotone_run": side_run_counts(20000)}),
+        ("ub-witness", 2.0, 4, {"balance_drift_runs": {
+            f"{dt:g}": side_run_counts(steps)
+            for dt, steps in ((2e-3, 2500), (1e-3, 5000), (5e-4, 10000), (2.5e-4, 20000))}}),
+    ])
+    def test_serial_and_forked_side_runs_write_the_same_files(
+            self, tmp_path, monkeypatch, preset, t_end, side_runs, counts):
+        # one usable CPU runs the side runs in this process; more fork one
+        # worker per side run, up to the usable CPUs
+        real_fork, forks = os.fork, []
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+        trees = {}
+        for cpus in (1, 2, 8):
+            monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
+            forks.clear()
+            rec = run(ExperimentConfig.for_preset(preset, t_end=t_end,
+                                                  output_dir=str(tmp_path / str(cpus))))
+            assert len(forks) == (0 if cpus == 1 else min(side_runs, cpus))
+            assert {key: rec["witness"][key] for key in counts} == counts
+            assert rec["all_checks_passed"]
+            trees[cpus] = stable_tree(tmp_path / str(cpus))
+        assert trees[1] == trees[2] == trees[8]
+
+    @pytest.mark.parametrize("where", ["side run", "caller"])
+    def test_a_raise_leaves_no_directory_and_no_worker(self, tmp_path, monkeypatch, where):
+        # the lb witness's Euler run raises in its worker, or the caller
+        # raises in the diagonal oracle while the worker runs: the error
+        # reaches run's caller, no run directory is written, and the worker
+        # has been joined
+        real = experiments.integrate_gf
+
+        def integrate_gf(state, dt, t_end, method="euler", options=None):
+            if method == "euler":
+                raise RuntimeError(f"side run failed in process {os.getpid()}")
+            return real(state, dt, t_end, method, options)
+
+        def diag_integrate(*args, **kwargs):
+            raise RuntimeError(f"caller failed in process {os.getpid()}")
+
+        if where == "side run":
+            monkeypatch.setattr(experiments, "integrate_gf", integrate_gf)
+        else:
+            monkeypatch.setattr(experiments, "diag_integrate", diag_integrate)
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+        with pytest.raises(RuntimeError, match=f"{where} failed in process") as info:
+            run(ExperimentConfig.for_preset("lb-witness", t_end=0.2,
+                                            output_dir=str(tmp_path)))
+        pid = int(str(info.value).split()[-1])
+        assert (pid != os.getpid()) == (where == "side run")
+        assert list(tmp_path.iterdir()) == []
+        with pytest.raises(ChildProcessError):  # no child, running or unreaped
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_only_side_runs_load_the_pool(self, tmp_path):
+        # a figure preset forks nothing and imports no multiprocessing
+        # module; the lb witness, with two usable CPUs, does
+        code = f"""
+import sys
+from restopo import experiments
+def pool_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] in ("multiprocessing", "concurrent"))
+experiments.run(experiments.ExperimentConfig.for_preset(
+    "topo-3layer", iters=20, output_dir={str(tmp_path)!r}))
+print(len(pool_modules()))
+experiments._usable_cpus = lambda: 2
+experiments.run(experiments.ExperimentConfig.for_preset(
+    "lb-witness", t_end=0.1, output_dir={str(tmp_path)!r}))
+print("multiprocessing" in pool_modules())
+"""
+        env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=120)
+        assert out.stdout.split() == ["0", "True"]
 
 
 @pytest.fixture(scope="module")
