@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-    restopo run --config cfg.json
+    restopo run --config cfg.json [--seed N] [--out DIR]
     restopo run --preset topo-3layer [--seed N] [--out DIR]
     restopo compare RUN_DIR/record.json ...
     restopo verify --preset {lb-witness,ub-witness} [--seed N] [--out DIR]
@@ -12,6 +12,7 @@ verify exits 0 iff every invariant check of the witness preset passes.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -27,7 +28,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="execute a preset or a JSON config")
     p_run.add_argument("--config", help="path to a JSON configuration file")
     p_run.add_argument("--preset", choices=sorted(PRESETS))
-    p_run.add_argument("--seed", type=int, default=1)
+    p_run.add_argument("--seed", type=int,
+                       help="instance seed (default: the config's, or the preset's 1)")
     p_run.add_argument("--out", help="output directory (default: $RESTOPO_OUT or ./runs)")
 
     p_cmp = sub.add_parser("compare", help="iterations-to-threshold table across runs")
@@ -47,15 +49,13 @@ def main(argv: list[str] | None = None) -> int:
         if (args.config is None) == (args.preset is None):
             print("run needs exactly one of --config or --preset", file=sys.stderr)
             return 2
+        given = {name: value for name, value in (("seed", args.seed), ("output_dir", args.out))
+                 if value is not None}
         if args.config:
             with open(args.config, encoding="utf-8") as fh:
-                cfg = ExperimentConfig.from_dict(json.load(fh))
-            if args.out:
-                cfg = ExperimentConfig.from_dict(
-                    {**{k: v for k, v in cfg.__dict__.items()}, "output_dir": args.out})
+                cfg = dataclasses.replace(ExperimentConfig.from_dict(json.load(fh)), **given)
         else:
-            cfg = ExperimentConfig.for_preset(args.preset, seed=args.seed,
-                                              output_dir=args.out)
+            cfg = ExperimentConfig.for_preset(args.preset, **given)
         record = run(cfg)
         print(f"run complete: {record['output_dir']}")
         for name, curve in record["curves"].items():

@@ -6,7 +6,9 @@ weights on a fixed stride.  For GD the time axis is the pseudo-time
 iteration * lr (the raw iteration index is kept alongside); for gradient
 flow it is ODE time.  Explicit Euler with step dt is the documented
 discrete stand-in for exact gradient flow; RK4 re-evaluates full
-gradients at stage points for step-size studies.
+gradients at stage points for step-size studies.  A run has one step
+size, lr or dt, which moves the weights and the learned (ANCRe) raw
+coefficients alike.
 
 One driver trains a batch of layouts on one instance: train_batch stacks
 states that share X, Y, depth, nonlinearity and trunk along a leading
@@ -75,6 +77,10 @@ __all__ = [
 DIVERGENCE_THRESHOLD = 1e9
 LOSS_CLAMP = 1e-300
 STALL_TOL = 1e-12
+# classify_rate's fit window: the trailing half of the records after the
+# first ten, which are dropped as transient
+DROP_FIRST = 10
+TAIL_FRACTION = 0.5
 METHODS = ("gd", "euler", "rk4")
 
 
@@ -219,12 +225,12 @@ def _nonfinite_rows(grads: np.ndarray | None) -> set:
 
 
 def _descend(active: _Active, wgrads: np.ndarray, cgrads: np.ndarray | None,
-             step: float, step_c: float) -> None:
+             step: float) -> None:
     """The GD and Euler update, in place: W <- W - step * grad and, in
-    mixing mode, c <- c - step_c * grad_c."""
+    mixing mode, c <- c - step * grad_c."""
     active.weights -= np.multiply(wgrads, step, out=active.acc)
     if active.coeffs is not None:
-        active.coeffs -= np.multiply(cgrads, step_c, out=active.acc_c)
+        active.coeffs -= np.multiply(cgrads, step, out=active.acc_c)
 
 
 def _stage(active: _Active, k: int, dt: float, kw: np.ndarray,
@@ -250,7 +256,7 @@ def _stage(active: _Active, k: int, dt: float, kw: np.ndarray,
             acc += g
 
 
-def _rk4(active: _Active, k1w: np.ndarray, k1c: np.ndarray | None, dt: float, _) -> None:
+def _rk4(active: _Active, k1w: np.ndarray, k1c: np.ndarray | None, dt: float) -> None:
     """The classical RK4 update, in place, with stage gradients evaluated
     at stage parameters built in the active set's buffers:
     theta <- theta - (dt / 6) (k1 + 2 k2 + 2 k3 + k4)."""
@@ -348,11 +354,12 @@ class _Active:
         return active, wgrads[keep], cgrads[keep_c] if keep_c else None
 
 
-def _drive(states, method: str, step: float, n_steps: int, lr_c: float | None,
+def _drive(states, method: str, step: float, n_steps: int,
            options: RecordOptions | None) -> list[tuple[Trajectory, TrainState]]:
-    """The one driver, over members stacked along a leading axis; the time
-    axis is iteration * step, and lr_c (default step) the GD coefficient
-    rate.
+    """The one driver, over members stacked along a leading axis; every
+    update moves the weights and the learned raw coefficients by the one
+    `step`, and the time axis is iteration * step.  `options` is None (the
+    defaults) or a RecordOptions.
 
     Each step evaluates the active members in one pass, decides which stop,
     each on its own (its loss blew up or reached the floor, its budget is
@@ -367,8 +374,10 @@ def _drive(states, method: str, step: float, n_steps: int, lr_c: float | None,
     and add its loss offset to every loss before the tests and the
     records; the final states are the callers' with the trained
     parameters."""
-    options = options or RecordOptions()
-    step_c = step if lr_c is None else lr_c
+    if options is None:
+        options = RecordOptions()
+    elif not isinstance(options, RecordOptions):
+        raise TypeError(f"options must be None or a RecordOptions, got {options!r}")
     update = _rk4 if method == "rk4" else _descend
     # the fixed members first, so that the learned ones are the stack's last
     # rows (the Workspace rejects members of another trunk or softmax recipe
@@ -413,7 +422,7 @@ def _drive(states, method: str, step: float, n_steps: int, lr_c: float | None,
             if not keep:
                 break
             active, wgrads, cgrads = active.shrink(trained, keep, wgrads, cgrads)
-        update(active, wgrads, cgrads, step, step_c)
+        update(active, wgrads, cgrads, step)
 
     return [results[row] for row in np.argsort(order)]
 
@@ -428,33 +437,29 @@ def _check_batch(states) -> None:
             raise ValueError("batch members must share X, Y, depth K and nonlinearity")
 
 
-def _check_schedule(step_name: str, step: float, steps_name: str, n_steps: int,
-                    lr_c: float | None) -> None:
-    """Reject a bad step size, step count or coefficient rate before the
-    first step."""
+def _check_schedule(step_name: str, step: float, steps_name: str, n_steps: int) -> None:
+    """Reject a bad step size or step count before the first step."""
     if not 0 < step < np.inf:
         raise ValueError(f"{step_name} must be positive and finite, got {step}")
     if isinstance(n_steps, bool) or not isinstance(n_steps, int):
         raise ValueError(f"{steps_name} must be an int, got {n_steps!r}")
     if n_steps < 0:
         raise ValueError(f"{steps_name} must be >= 0")
-    if lr_c is not None and not 0 <= lr_c < np.inf:
-        raise ValueError(f"lr_c must be None or >= 0 and finite, got {lr_c!r}")
 
 
-def train_batch(states, method: str, step: float, n_steps: int, lr_c: float | None = None,
+def train_batch(states, method: str, step: float, n_steps: int, *,
                 options: RecordOptions | None = None) -> list[tuple[Trajectory, TrainState]]:
     """Train `states` as one batch for n_steps steps; returns one
     (trajectory, final state) per state, in order, each equal to what a
     solo run_gd or integrate_gf of that state gives.
 
-    method is "gd" (step is lr, and lr_c, default lr, the coefficient
-    rate), "euler" or "rk4" (step is dt; lr_c must be None).  The time
-    axis is iteration * step.  The members must share X, Y, depth K,
-    nonlinearity and trunk, so a trunk-off learned layout cannot join fixed
-    ones, which keep their trunk; their initial weights and layouts may
-    differ, fixed and learned (ANCRe) alike, and the learned ones must
-    share their softmax mode and temperature.
+    method is "gd" (step is lr), "euler" or "rk4" (step is dt); every
+    update moves the weights and the learned raw coefficients by the same
+    step.  The time axis is iteration * step.  The members must share X,
+    Y, depth K, nonlinearity and trunk, so a trunk-off learned layout
+    cannot join fixed ones, which keep their trunk; their initial weights
+    and layouts may differ, fixed and learned (ANCRe) alike, and the
+    learned ones must share their softmax mode and temperature.
 
     Without tanh and with n > d the members train on d x d data from one
     QR factorization of X and Y, their losses offset by the part outside X's
@@ -463,22 +468,19 @@ def train_batch(states, method: str, step: float, n_steps: int, lr_c: float | No
     themselves."""
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
-    _check_schedule("step", step, "n_steps", n_steps, lr_c)
-    if lr_c is not None and method != "gd":
-        raise ValueError(f"lr_c applies to method 'gd' only, not {method!r}")
+    _check_schedule("step", step, "n_steps", n_steps)
     _check_batch(states)
-    return _drive(states, method, step, n_steps, lr_c, options)
+    return _drive(states, method, step, n_steps, options)
 
 
-def run_gd(state: TrainState, lr: float, iters: int, lr_c: float | None = None,
+def run_gd(state: TrainState, lr: float, iters: int, *,
            options: RecordOptions | None = None) -> tuple[Trajectory, TrainState]:
     """Gradient descent for `iters` steps: W_k <- W_k - lr * grad and, in
-    mixing mode, c <- c - lr_c * grad_c (lr_c defaults to lr).  The
-    trajectory's time axis is iter * lr.  A loss blow-up or a non-finite
-    gradient stops the run with `diverged` set, before the step it would
-    have taken."""
-    _check_schedule("lr", lr, "iters", iters, lr_c)
-    return _drive([state], "gd", lr, iters, lr_c, options)[0]
+    mixing mode, c <- c - lr * grad_c.  The trajectory's time axis is
+    iter * lr.  A loss blow-up or a non-finite gradient stops the run with
+    `diverged` set, before the step it would have taken."""
+    _check_schedule("lr", lr, "iters", iters)
+    return _drive([state], "gd", lr, iters, options)[0]
 
 
 def integrate_gf(state: TrainState, dt: float, t_end: float, method: str = "euler",
@@ -494,7 +496,7 @@ def integrate_gf(state: TrainState, dt: float, t_end: float, method: str = "eule
         raise ValueError(f"dt={dt} exceeds t_end={t_end}")
     if method not in ("euler", "rk4"):
         raise ValueError(f"method must be 'euler' or 'rk4', got {method!r}")
-    return _drive([state], method, dt, int(round(t_end / dt)), None, options)[0]
+    return _drive([state], method, dt, int(round(t_end / dt)), options)[0]
 
 
 def _least_squares(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
@@ -508,27 +510,24 @@ def _least_squares(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     return float(coef[1]), r2
 
 
-def classify_rate(traj: Trajectory, tail_fraction: float = 0.5,
-                  drop_first: int = 10) -> RateVerdict:
+def classify_rate(traj: Trajectory) -> RateVerdict:
     """Classify the tail of a loss trajectory as linear (exponential decay)
     or sublinear (power-law decay).
 
-    The first `drop_first` recorded points are discarded as transient; the
-    fit window is the trailing `tail_fraction` of what remains.  Both
+    The first DROP_FIRST recorded points are discarded as transient; the
+    fit window is the trailing TAIL_FRACTION of what remains.  Both
     log-loss-vs-time and log-loss-vs-log-time are fitted by least squares
     and the better coefficient of determination wins.  Flat windows
     (relative change < 1e-12) are 'stalled'; a diverged trajectory is
     'diverged'.  Exact zeros are clamped to 1e-300 before the logs.
     """
-    if not 0 < tail_fraction <= 1:
-        raise ValueError("tail_fraction must lie in (0, 1]")
     if traj.diverged:
         return RateVerdict(kind="diverged", rate_or_power=float("nan"), fit_quality=0.0)
-    losses = traj.losses[drop_first:]
-    t = traj.times[drop_first:]
+    losses = traj.losses[DROP_FIRST:]
+    t = traj.times[DROP_FIRST:]
     if len(losses) == 0:
         losses, t = traj.losses, traj.times
-    n_tail = max(int(np.ceil(len(losses) * tail_fraction)), 1)
+    n_tail = max(int(np.ceil(len(losses) * TAIL_FRACTION)), 1)
     losses, t = losses[-n_tail:], t[-n_tail:]
     note = ""
     if np.any(losses <= 0):
@@ -550,24 +549,12 @@ def classify_rate(traj: Trajectory, tail_fraction: float = 0.5,
                        note=note)
 
 
-# The entries of one block of balance_gap's squares (512 KiB).
-GAP_BLOCK = 1 << 16
-
-
 def balance_gap(weights: np.ndarray) -> np.ndarray:
     """||W1||_F^2 - ||W2||_F^2 of each record of (records, K, d, d) weights,
-    reduced a block of records at a time, whose squares of one layer hold
-    at most GAP_BLOCK entries (one record's where d^2 exceeds that): no
-    temporary of the size of `weights`.  Each record's sums are those of
-    np.sum over that record's squares, bit for bit."""
-    d = weights.shape[-1]
-    size = max(1, GAP_BLOCK // (d * d))
-    gap = np.empty(len(weights))
-    for lo in range(0, len(weights), size):
-        block = weights[lo:lo + size]
-        np.subtract(np.add.reduce(block[:, 0] ** 2, axis=(-2, -1)),
-                    np.add.reduce(block[:, 1] ** 2, axis=(-2, -1)), out=gap[lo:lo + size])
-    return gap
+    one reduce per layer.  Each record's sums are those of np.sum over that
+    record's squares, bit for bit."""
+    return (np.add.reduce(weights[:, 0] ** 2, axis=(-2, -1))
+            - np.add.reduce(weights[:, 1] ** 2, axis=(-2, -1)))
 
 
 def balance_drift(traj: Trajectory) -> float:

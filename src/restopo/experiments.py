@@ -95,8 +95,7 @@ class ExperimentConfig:
     K: int = 3
     seed: int = 1
     optimizer: str = "gd"              # gd | gf-euler | gf-rk4
-    lr: float = 1e-2
-    lr_c: float | None = None          # gd only; defaults to lr
+    lr: float = 1e-2                   # moves the weights and the learned coefficients
     dt: float = 1e-3
     t_end: float = 20.0
     iters: int = 30000
@@ -122,9 +121,9 @@ class ExperimentConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ValueError(f"config field {name!r} must be an int, got {value!r}")
-        for name in ("lr", "lr_c", "dt", "t_end", "temperature", "lam", "stop_below"):
+        for name in ("lr", "dt", "t_end", "temperature", "lam", "stop_below"):
             value = getattr(self, name)
-            if value is None and name in ("lr_c", "stop_below"):
+            if value is None and name == "stop_below":
                 continue
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ValueError(f"config field {name!r} must be a number, got {value!r}")
@@ -148,12 +147,6 @@ class ExperimentConfig:
         for name in ("lr", "dt", "temperature"):
             if not 0 < getattr(self, name) < np.inf:
                 raise ValueError(f"config field {name!r} must be positive and finite")
-        if self.lr_c is not None and not 0 <= self.lr_c < np.inf:
-            raise ValueError("config field 'lr_c' must be None or >= 0 and finite")
-        if self.lr_c is not None and self.optimizer != "gd":
-            # gradient flow integrates every parameter at one rate
-            raise ValueError(f"config field 'lr_c' applies to optimizer 'gd' only, "
-                             f"not {self.optimizer!r}")
         if not 0 <= self.t_end < np.inf:
             raise ValueError("config field 't_end' must be >= 0 and finite")
         if self.t_end > 0 and self.dt > self.t_end:
@@ -314,9 +307,9 @@ def _train(cfg: ExperimentConfig, states: list, options: RecordOptions) -> list:
     method = "gd" if gd else cfg.optimizer.removeprefix("gf-")
     if len(states) > 1:
         step, n_steps = (cfg.lr, cfg.iters) if gd else (cfg.dt, int(round(cfg.t_end / cfg.dt)))
-        return train_batch(states, method, step, n_steps, cfg.lr_c, options)
+        return train_batch(states, method, step, n_steps, options=options)
     if gd:
-        return [run_gd(states[0], cfg.lr, cfg.iters, cfg.lr_c, options)]
+        return [run_gd(states[0], cfg.lr, cfg.iters, options=options)]
     return [integrate_gf(states[0], cfg.dt, cfg.t_end, method, options)]
 
 

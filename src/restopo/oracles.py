@@ -46,6 +46,10 @@ __all__ = [
 ]
 
 SQRT_2PI = float(np.sqrt(2.0 * np.pi))
+# ub_witness_init: the target spectrum's norm, and how many times it may
+# halve the initial weights before it gives up
+UB_TARGET_NORM = 0.5
+UB_MAX_HALVINGS = 60
 
 
 @dataclass
@@ -292,8 +296,7 @@ def _uniform_open_low(rng: np.random.Generator, lo: float, hi: float, n: int) ->
     return hi - rng.uniform(0.0, hi - lo, n)
 
 
-def ub_witness_init(d: int, lam: float, seed: int, max_halvings: int = 60,
-                    target_norm: float = 0.5) -> tuple[TrainState, DeltaThreshold, float, int]:
+def ub_witness_init(d: int, lam: float, seed: int) -> tuple[TrainState, DeltaThreshold, float, int]:
     """A linear-rate witness for the 0:2 layout with delta-compliant init.
 
     The threshold delta depends on the initial loss, which depends on the
@@ -305,16 +308,16 @@ def ub_witness_init(d: int, lam: float, seed: int, max_halvings: int = 60,
         raise ValueError(f"lam must lie in (0, 1), got {lam}")
     rng = make_rng(seed)
     sig = rng.uniform(0.5, 1.5, d)
-    sig *= target_norm / np.linalg.norm(sig)
+    sig *= UB_TARGET_NORM / np.linalg.norm(sig)
     A = np.diag(sig)
     X = np.eye(d)
     weights = [rng.standard_normal((d, d)) * (0.01 / np.sqrt(d)) for _ in range(3)]
     topo = Topology.single(0, 2, K=3)
-    for halvings in range(max_halvings + 1):
+    for halvings in range(UB_MAX_HALVINGS + 1):
         state = TrainState(weights=weights, X=X, Y=A.copy(), topology=topo)
         L0, _, _ = loss_and_gradients(state)
         thr = delta_threshold(lam, L0)
         if max(np.linalg.norm(w) for w in weights) <= thr.used:
             return state, thr, L0, halvings
         weights = [0.5 * w for w in weights]
-    raise RuntimeError(f"no self-consistent initialization within {max_halvings} halvings")
+    raise RuntimeError(f"no self-consistent initialization within {UB_MAX_HALVINGS} halvings")

@@ -132,15 +132,12 @@ class TestConfig:
         for workload in workloads.WORKLOADS:
             assert workloads.setup(workload, 1, "tiny")
 
-    @pytest.mark.parametrize("optimizer", ["gf-euler", "gf-rk4"])
-    def test_lr_c_rejected_under_gradient_flow(self, tmp_path, optimizer):
-        # gradient flow integrates every parameter at one rate, so an lr_c
-        # would be echoed in config.json and record.json yet change nothing
-        with pytest.raises(ValueError, match="lr_c"):
-            run(ExperimentConfig.for_preset("custom", ancre_mode="ingoing",
-                                            optimizer=optimizer, lr_c=0.0, t_end=0.1,
-                                            output_dir=str(tmp_path)))
-        assert list(tmp_path.iterdir()) == []
+    def test_a_config_with_a_coefficient_rate_is_rejected(self):
+        # a run has one step size; config.json files that hold "lr_c": null
+        # are not read back
+        echo = dataclasses.asdict(ExperimentConfig.for_preset("topo-3layer")) | {"lr_c": None}
+        with pytest.raises(ValueError, match=r"unknown config field\(s\): \['lr_c'\]"):
+            ExperimentConfig.from_dict(echo)
 
     def test_round_trips_through_json(self):
         cfg = ExperimentConfig.for_preset("ub-witness", seed=3)
@@ -472,11 +469,11 @@ class TestRun:
     def test_the_ancre_curve_joins_the_fixed_batch_when_it_keeps_its_trunk(
             self, tmp_path, monkeypatch, trunk):
         batches, real = [], experiments.train_batch
-        monkeypatch.setattr(experiments, "train_batch",
-                            lambda states, *a: batches.append(states) or real(states, *a))
+        monkeypatch.setattr(experiments, "train_batch", lambda states, *a, **kw:
+                            batches.append(states) or real(states, *a, **kw))
         solo, real_gd = [], experiments.run_gd
-        monkeypatch.setattr(experiments, "run_gd",
-                            lambda state, *a: solo.append(state) or real_gd(state, *a))
+        monkeypatch.setattr(experiments, "run_gd", lambda state, *a, **kw:
+                            solo.append(state) or real_gd(state, *a, **kw))
         rec = run(ExperimentConfig.for_preset("topo-3layer", iters=20, trunk=trunk,
                                               output_dir=str(tmp_path)))
         assert list(rec["curves"]) == ["none", "cascaded", "0:1", "0:2", "ancre"]
@@ -725,6 +722,19 @@ class TestCli:
             "iters": 500, "output_dir": str(tmp_path)}))
         assert cli_main(["run", "--config", str(cfg_path)]) == 0
         assert (tmp_path / "custom_1" / "record.json").exists()
+
+    def test_seed_and_out_override_a_config_file(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "preset": "custom", "topology": "0:2", "d": 4, "n": 6, "K": 3, "seed": 3,
+            "iters": 50, "output_dir": str(tmp_path / "a")}))
+        assert cli_main(["run", "--config", str(cfg_path), "--seed", "7",
+                         "--out", str(tmp_path / "b")]) == 0
+        assert os.listdir(tmp_path / "b") == ["custom_7"]
+        assert load_record(str(tmp_path / "b" / "custom_7" / "record.json"))["seed"] == 7
+        assert not (tmp_path / "a").exists()
+        assert cli_main(["run", "--config", str(cfg_path)]) == 0
+        assert os.listdir(tmp_path / "a") == ["custom_3"]
 
     def test_compare_command(self, tmp_path, capsys):
         cli_main(["run", "--preset", "depth-sweep", "--seed", "3",
